@@ -114,8 +114,7 @@ type AnalysisOptions struct {
 // An Analysis is a single-session object: its methods must not be called
 // concurrently with each other. Concurrency happens across sessions.
 type Analysis struct {
-	ds          *Dataset
-	ownsDataset bool // legacy NewAnalysis(al, Options{}) path
+	ds *Dataset
 
 	eng       *core.Engine
 	exec      parallel.Executor
@@ -178,7 +177,7 @@ func (ds *Dataset) newAnalysis(o AnalysisOptions) (*Analysis, error) {
 	case ds.pool != nil:
 		exec = ds.pool.Session()
 	default:
-		exec = parallel.NewSequential()
+		exec, err = parallel.NewSim(1)
 	}
 	if err != nil {
 		return nil, err
@@ -218,8 +217,7 @@ func (ds *Dataset) newAnalysis(o AnalysisOptions) (*Analysis, error) {
 // Close releases the session's executor (its view of the shared pool; the
 // pool itself stays up for other sessions). It is idempotent; every method
 // called afterwards returns ErrAnalysisClosed (or NaN where the signature
-// has no error). Analyses made with the legacy NewAnalysis shim own their
-// Dataset and close it too.
+// has no error).
 func (an *Analysis) Close() error {
 	an.mu.Lock()
 	if an.closed {
@@ -230,9 +228,6 @@ func (an *Analysis) Close() error {
 	an.mu.Unlock()
 	an.exec.Close()
 	an.ds.release()
-	if an.ownsDataset {
-		return an.ds.Close()
-	}
 	return nil
 }
 

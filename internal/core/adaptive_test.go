@@ -15,12 +15,12 @@ import (
 // TestSiteLogLikelihoodsClampNonpositive is the satellite regression test for
 // the missing guard: a pathological model (all-zero base frequencies) drives
 // every site likelihood to exactly zero, and SiteLogLikelihoods must clamp
-// like evaluatePartition does instead of emitting -Inf — staying a faithful
+// like the evaluate region does instead of emitting -Inf — staying a faithful
 // mirror of the parallel reduction.
 func TestSiteLogLikelihoodsClampNonpositive(t *testing.T) {
 	a := randomAlignment(t, 6, 30, alignment.DNA, 63)
 	m, _ := model.GTR(nil, nil, 4, 0.9)
-	eng, d, _ := mkEngine(t, a, alignment.SinglePartition(a, alignment.DNA, ""), []*model.Model{m}, 1, 8, parallel.NewSequential())
+	eng, d, _ := mkEngine(t, a, alignment.SinglePartition(a, alignment.DNA, ""), []*model.Model{m}, 1, 8, sequential())
 	// Sanity: the healthy path is finite and was already covered elsewhere.
 	for j, v := range eng.SiteLogLikelihoods(0) {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -55,7 +55,7 @@ func TestDerivativeChargesSkippedPatterns(t *testing.T) {
 	parts, _ := alignment.UniformPartitions(a, alignment.DNA, 22)
 	m0, _ := model.GTR(nil, nil, 4, 0.8)
 	m1, _ := model.GTR(nil, nil, 4, 1.4)
-	eng, d, tr := mkEngine(t, a, parts, []*model.Model{m0, m1}, 2, 14, parallel.NewSequential())
+	eng, d, tr := mkEngine(t, a, parts, []*model.Model{m0, m1}, 2, 14, sequential())
 	root := tr.Tips[0].Back
 	eng.TraverseRoot(root, false, nil)
 	eng.PrepareSumtable(root, nil)
@@ -135,7 +135,7 @@ func TestMeasuredRebalanceKeepsLikelihood(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr, _ := tree.Random(taxaNames(8), 1, tree.RandomOptions{Seed: 44})
-	eng, err := New(d, tr, models, sim, Options{Specialize: true, Schedule: schedule.Measured})
+	eng, err := newEngine(d, tr, models, sim, Options{Specialize: true, Schedule: schedule.Measured})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestMeasuredRebalanceKeepsLikelihood(t *testing.T) {
 	tr2, _ := tree.Random(taxaNames(8), 1, tree.RandomOptions{Seed: 44})
 	models2 := []*model.Model{models[0].Clone(), models[1].Clone()}
 	sim2, _ := parallel.NewSim(4)
-	engStatic, err := New(d, tr2, models2, sim2, Options{Specialize: true, Schedule: schedule.Weighted})
+	engStatic, err := newEngine(d, tr2, models2, sim2, Options{Specialize: true, Schedule: schedule.Weighted})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,9 +224,9 @@ func TestConcurrentSessionsSurviveRebalance(t *testing.T) {
 	}
 	defer pool.Close()
 
-	// Sequential reference for the tolerance check.
+	// One-worker reference for the tolerance check.
 	trRef, _ := tree.Random(taxaNames(8), 1, tree.RandomOptions{Seed: 61})
-	seqEng, err := New(d, trRef, []*model.Model{models[0].Clone(), models[1].Clone()}, parallel.NewSequential(), Options{Specialize: true})
+	seqEng, err := newEngine(d, trRef, []*model.Model{models[0].Clone(), models[1].Clone()}, sequential(), Options{Specialize: true})
 	if err != nil {
 		t.Fatal(err)
 	}

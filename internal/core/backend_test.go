@@ -48,9 +48,9 @@ func requireBackendIdentical(t *testing.T, label string, gen, fus backendResult)
 }
 
 // TestBackendBitIdentity compares the two backends configuration by
-// configuration on mixed DNA+AA data: Pool sessions, Sim, and Sequential
-// executors, chunked execution with stealing on and off, at 1 and 4 Gamma
-// categories. Each configuration is built twice — once per backend — over
+// configuration on mixed DNA+AA data: Pool sessions, Sim, and one-worker
+// executors, static and steal layouts with thieving on and off, at 1 and 4
+// Gamma categories. Each configuration is built twice — once per backend — over
 // backend-specific Shared state; within a configuration the executor,
 // schedule, and reduction order are identical, so any difference would be the
 // fused kernels' doing.
@@ -110,9 +110,9 @@ func TestBackendBitIdentity(t *testing.T) {
 			{"pool-steal-off", func() parallel.Executor { return pool.Session() }, threads,
 				Options{Specialize: true, Schedule: schedule.Weighted, Steal: true, MinChunk: 16}, false},
 			{"sim", sim, threads, Options{Specialize: true}, false},
-			{"sequential", func() parallel.Executor { return parallel.NewSequential() }, 1,
+			{"sequential", func() parallel.Executor { return sequential() }, 1,
 				Options{Specialize: true}, false},
-			{"sequential-nospec", func() parallel.Executor { return parallel.NewSequential() }, 1,
+			{"sequential-nospec", func() parallel.Executor { return sequential() }, 1,
 				Options{Specialize: false}, false},
 		}
 		for _, cfg := range configs {
@@ -149,7 +149,7 @@ func TestBackendBitIdentityUnderForcedScaling(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := NewSession(sh, tr, []*model.Model{tipCaseModels(t, alignment.DNA, 2, 5.0)}, parallel.NewSequential(), Options{Specialize: true})
+		eng, err := NewSession(sh, tr, []*model.Model{tipCaseModels(t, alignment.DNA, 2, 5.0)}, sequential(), Options{Specialize: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,10 +266,10 @@ func TestBackendParseAndResolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := tipCaseModels(t, alignment.DNA, 4, 0.8)
-	if _, err := NewSession(sh, tr, []*model.Model{m}, parallel.NewSequential(), Options{Specialize: true, Backend: BackendFused}); err == nil {
+	if _, err := NewSession(sh, tr, []*model.Model{m}, sequential(), Options{Specialize: true, Backend: BackendFused}); err == nil {
 		t.Error("NewSession accepted a fused session over generic shared state")
 	}
-	eng, err := NewSession(sh, tr, []*model.Model{m}, parallel.NewSequential(), Options{Specialize: true})
+	eng, err := NewSession(sh, tr, []*model.Model{m}, sequential(), Options{Specialize: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,12 +27,10 @@ import (
 //     values, same per-pattern multiply, same accumulation order), so
 //     extracting a replicate (WeightSet.Replicate) and re-running it alone
 //     reproduces its batched lnL bit for bit.
-//  2. Partials are per (worker, partition, lane) on the precomputed path and
-//     per (chunk, lane) on the work-stealing path, reduced master-side in
-//     fixed worker / chunk-id order — the same fixed-order discipline the
-//     unbatched reductions use (see chunkexec.go), so results are invariant
-//     to steal interleavings and identical across Pool, PoolSession, Sim,
-//     and Sequential executors.
+//  2. Partials are per (chunk, lane), reduced master-side in fixed chunk-id
+//     order — the same fixed-order discipline the unbatched reductions use
+//     (see chunkexec.go), so results are invariant to steal interleavings
+//     and identical across Pool, PoolSession, and Sim executors.
 
 // bindBatch attaches a WeightSet's lanes to an evaluate span context; the
 // span's pattern j reads its R weights at batchW[j*R : (j+1)*R].
@@ -220,23 +218,6 @@ func (e *Engine) weightsFor(part *alignment.CompressedPartition) []float64 {
 	return part.Weights
 }
 
-// ensureBatchBuffers sizes the per-worker batched partial buffers for an
-// R-wide batch (grow-only; a narrower batch reuses a wider allocation).
-func (e *Engine) ensureBatchBuffers(R int) {
-	n := len(e.Data.Parts) * R
-	if e.batchEvalPartials == nil {
-		t := e.Exec.Threads()
-		e.batchEvalPartials = make([][]float64, t)
-		e.batchDerivParts = make([][]float64, t)
-	}
-	for w := range e.batchEvalPartials {
-		if cap(e.batchEvalPartials[w]) < n {
-			e.batchEvalPartials[w] = make([]float64, n)
-			e.batchDerivParts[w] = make([]float64, 2*n)
-		}
-	}
-}
-
 // EvaluateBatch computes the per-replicate log likelihoods at the virtual
 // root on branch (p, p.Back) under an R-wide WeightSet: one parallel region
 // in which every site log likelihood is computed once and reduced into R
@@ -253,74 +234,9 @@ func (e *Engine) EvaluateBatch(p *tree.Node, active []bool, ws *WeightSet) ([]fl
 	if p.IsTip() && q.IsTip() {
 		panic("core: EvaluateBatch on a tip-tip branch (2-taxon tree not supported)")
 	}
-	R := ws.r
 	act := e.activeOrAll(active)
 	e.refreshSchedule() // region boundary: adopt a rebalanced schedule if published
-	if e.stealRT != nil {
-		return e.evaluateBatchSteal(p, q, act, ws), nil
-	}
-	e.ensureBatchBuffers(R)
-	e.Exec.Run(parallel.RegionEvaluate, func(w int, ctx *parallel.WorkerCtx) {
-		partials := e.batchEvalPartials[w]
-		pm := e.pmScratch[w][0]
-		ops := 0.0
-		for ip := range e.Data.Parts {
-			out := partials[ip*R : (ip+1)*R]
-			for r := range out {
-				out[r] = 0
-			}
-			if !act[ip] {
-				continue
-			}
-			var t0 time.Time
-			if e.measure {
-				t0 = time.Now() //plk:allow(timenow) measured-cost attribution; never feeds likelihood values
-			}
-			ops += e.evaluateBatchPartition(p, q, ip, w, pm, ws, out)
-			if e.measure {
-				e.chargePartition(w, ip, t0)
-			}
-		}
-		ctx.Ops += ops
-	})
-	// Reduce in the unbatched Evaluate's order — workers ascending per
-	// (partition, lane), then active partitions ascending into the totals —
-	// so a width-1 batch over the dataset's own weights reproduces Evaluate
-	// bit for bit.
-	perPart := make([]float64, len(e.Data.Parts)*R)
-	for w := 0; w < e.Exec.Threads(); w++ {
-		for k, v := range e.batchEvalPartials[w][:len(perPart)] {
-			perPart[k] += v
-		}
-	}
-	totals := make([]float64, R)
-	for ip := range e.Data.Parts {
-		if !act[ip] {
-			continue
-		}
-		for r := 0; r < R; r++ {
-			totals[r] += perPart[ip*R+r]
-		}
-	}
-	return totals, nil
-}
-
-// evaluateBatchPartition reduces worker w's share of one partition into the
-// R-lane partial vector out.
-func (e *Engine) evaluateBatchPartition(p, q *tree.Node, ip, w int, pm []float64, ws *WeightSet, out []float64) float64 {
-	runs := e.workRuns(w, ip)
-	if len(runs) == 0 {
-		return 0
-	}
-	var c evalSpanCtx
-	e.prepareEvalSpan(&c, p, q, ip, w, pm)
-	c.bindBatch(ws)
-	c.ensureTable(runsPatternCount(runs))
-	count := 0
-	for _, run := range runs {
-		count += c.kern.EvaluateBatch(&c, run, out)
-	}
-	return c.takeOpsBatch(count)
+	return e.evaluateBatchRegion(p, q, act, ws), nil
 }
 
 // LogLikelihoodBatch runs one full traversal to the canonical virtual root
@@ -338,12 +254,15 @@ func (e *Engine) LogLikelihoodBatch(ws *WeightSet) ([]float64, error) {
 	return e.EvaluateBatch(root, nil, ws)
 }
 
-// evaluateBatchSteal is the chunked R-lane root reduction: per-chunk R-vector
+// evaluateBatchRegion is the R-lane root reduction: per-chunk R-vector
 // partials into the session's batch chunk buffer, reduced master-side in
 // fixed chunk-id order (see the determinism argument in chunkexec.go; the
-// batch merely widens each chunk's partial from one float to R).
-func (e *Engine) evaluateBatchSteal(p, q *tree.Node, act []bool, ws *WeightSet) []float64 {
-	rt := e.stealRT
+// batch merely widens each chunk's partial from one float to R). Reducing
+// per (partition, lane) and then active partitions ascending into the totals
+// is the unbatched Evaluate's order, so a width-1 batch over the dataset's
+// own weights reproduces Evaluate bit for bit.
+func (e *Engine) evaluateBatchRegion(p, q *tree.Node, act []bool, ws *WeightSet) []float64 {
+	rt := e.rt
 	R := ws.r
 	n := rt.Layout().NumChunks()
 	if cap(e.batchEvalChunk) < n*R {
@@ -422,70 +341,14 @@ func (e *Engine) BranchDerivativesBatch(z []float64, active []bool, ws *WeightSe
 	}
 	act := e.activeOrAll(active)
 	e.refreshSchedule() // region boundary: adopt a rebalanced schedule if published
-	if e.stealRT != nil {
-		e.derivativesBatchSteal(z, act, ws, d1, d2)
-		return nil
-	}
-	e.ensureBatchBuffers(R)
-	e.Exec.Run(parallel.RegionDerivative, func(w int, ctx *parallel.WorkerCtx) {
-		partials := e.batchDerivParts[w]
-		ex := e.exScratch[w]
-		ops := 0.0
-		for ip := range e.Data.Parts {
-			out := partials[ip*2*R : (ip+1)*2*R]
-			for r := range out {
-				out[r] = 0
-			}
-			if !act[ip] {
-				continue
-			}
-			var t0 time.Time
-			if e.measure {
-				t0 = time.Now() //plk:allow(timenow) measured-cost attribution; never feeds likelihood values
-			}
-			ops += e.derivativeBatchPartition(ip, z[ip], w, ws, out, ex)
-			if e.measure {
-				e.chargePartition(w, ip, t0)
-			}
-		}
-		ctx.Ops += ops
-	})
-	for k := range d1 {
-		d1[k], d2[k] = 0, 0
-	}
-	for w := 0; w < e.Exec.Threads(); w++ {
-		partials := e.batchDerivParts[w]
-		for ip := range e.Data.Parts {
-			for r := 0; r < R; r++ {
-				d1[ip*R+r] += partials[ip*2*R+2*r]
-				d2[ip*R+r] += partials[ip*2*R+2*r+1]
-			}
-		}
-	}
+	e.derivativeBatchRegion(z, act, ws, d1, d2)
 	return nil
 }
 
-// derivativeBatchPartition reduces worker w's share of one partition into the
-// 2R-lane partial vector out.
-func (e *Engine) derivativeBatchPartition(ip int, z float64, w int, ws *WeightSet, out, ex []float64) float64 {
-	runs := e.workRuns(w, ip)
-	if len(runs) == 0 {
-		return 0
-	}
-	var c derivSpanCtx
-	e.prepareDerivSpan(&c, ip, z, ex)
-	c.bindBatch(ws)
-	count := 0
-	for _, run := range runs {
-		count += c.kern.DerivativesBatch(&c, run, out)
-	}
-	return float64(count) * opsDerivativeBatch(c.s, c.cats, ws.r)
-}
-
-// derivativesBatchSteal is the chunked R-lane Newton-derivative reduction:
-// 2R partials per chunk, reduced in fixed chunk-id order.
-func (e *Engine) derivativesBatchSteal(z []float64, act []bool, ws *WeightSet, d1, d2 []float64) {
-	rt := e.stealRT
+// derivativeBatchRegion is the R-lane Newton-derivative reduction: 2R
+// partials per chunk, reduced in fixed chunk-id order.
+func (e *Engine) derivativeBatchRegion(z []float64, act []bool, ws *WeightSet, d1, d2 []float64) {
+	rt := e.rt
 	R := ws.r
 	n := rt.Layout().NumChunks()
 	if cap(e.batchDerivChunk) < 2*n*R {

@@ -145,8 +145,8 @@ func batchEngine(t *testing.T, backend Backend, cats int, exec parallel.Executor
 	return eng
 }
 
-// TestBatchBitIdentity is the tentpole's acceptance test: on both backends,
-// with chunked execution (stealing on and off) and the precomputed path,
+// TestBatchBitIdentity is the batched-reduction acceptance test: on both
+// backends, under the steal layout (thieving on and off) and the static one,
 // every replicate lnL and both branch derivatives of a batched R-wide run
 // must equal — bit for bit — an unbatched single-replicate run over that
 // replicate's weights (via the weight override) and a width-1 batched run
@@ -174,7 +174,7 @@ func TestBatchBitIdentity(t *testing.T) {
 			Options{Specialize: true, Schedule: schedule.Weighted, Steal: true, MinChunk: 16}, true},
 		{"pool-steal-off", func() parallel.Executor { return pool.Session() }, threads,
 			Options{Specialize: true, Schedule: schedule.Weighted, Steal: true, MinChunk: 16}, false},
-		{"sequential", func() parallel.Executor { return parallel.NewSequential() }, 1,
+		{"sequential", func() parallel.Executor { return sequential() }, 1,
 			Options{Specialize: true}, false},
 	}
 	for _, backend := range []Backend{BackendGeneric, BackendFused} {
@@ -254,7 +254,7 @@ func TestBatchBitIdentity(t *testing.T) {
 // paths: a batch of R copies of the dataset's own weights must yield R
 // identical lnLs, each bit-identical to the unbatched Evaluate.
 func TestBatchUniformMatchesPlain(t *testing.T) {
-	eng := batchEngine(t, BackendFused, 4, parallel.NewSequential(), 1, Options{Specialize: true})
+	eng := batchEngine(t, BackendFused, 4, sequential(), 1, Options{Specialize: true})
 	plain := eng.LogLikelihood()
 	ws, err := UniformWeightSet(eng.Data, 4)
 	if err != nil {
@@ -274,7 +274,7 @@ func TestBatchUniformMatchesPlain(t *testing.T) {
 // TestBatchValidation exercises the error paths: nil and mismatched weight
 // sets, bad override widths, wrong derivative buffer sizes.
 func TestBatchValidation(t *testing.T) {
-	eng := batchEngine(t, BackendGeneric, 1, parallel.NewSequential(), 1, Options{Specialize: true})
+	eng := batchEngine(t, BackendGeneric, 1, sequential(), 1, Options{Specialize: true})
 	if _, err := eng.LogLikelihoodBatch(nil); err == nil {
 		t.Fatal("nil weight set accepted")
 	}

@@ -2,10 +2,8 @@ package core
 
 import (
 	"math"
-	"time"
 
 	"phylo/internal/alignment"
-	"phylo/internal/parallel"
 	"phylo/internal/schedule"
 	"phylo/internal/tree"
 )
@@ -25,53 +23,15 @@ func (e *Engine) PrepareSumtable(p *tree.Node, active []bool) {
 	q := p.Back
 	act := e.activeOrAll(active)
 	e.refreshSchedule() // region boundary: adopt a rebalanced schedule if published
-	if e.stealRT != nil {
-		e.sumtableSteal(p, q, act)
-		return
-	}
-	e.Exec.Run(parallel.RegionSumTable, func(w int, ctx *parallel.WorkerCtx) {
-		ops := 0.0
-		for ip := range e.Data.Parts {
-			if !act[ip] {
-				continue
-			}
-			var t0 time.Time
-			if e.measure {
-				t0 = time.Now() //plk:allow(timenow) measured-cost attribution; never feeds likelihood values
-			}
-			ops += e.sumtablePartition(p, q, ip, w)
-			if e.measure {
-				e.chargePartition(w, ip, t0)
-			}
-		}
-		ctx.Ops += ops
-	})
-}
-
-// sumtablePartition builds worker w's share of the sumtable. A tip end
-// whose share amortizes a projection table uses the category-independent
-// per-code rows of buildTipSumLeft/Right instead of re-projecting the same
-// 0/1 tip vector for every pattern and category (tip-case specialization;
-// results are bit-identical).
-func (e *Engine) sumtablePartition(p, q *tree.Node, ip, w int) float64 {
-	runs := e.workRuns(w, ip)
-	if len(runs) == 0 {
-		return 0
-	}
-	var c sumSpanCtx
-	e.prepareSumtableSpan(&c, p, q, ip, w)
-	c.ensureTables(runsPatternCount(runs))
-	count := 0
-	for _, run := range runs {
-		count += c.process(run)
-	}
-	return c.takeOps(count)
+	e.sumtableRegion(p, q, act)
 }
 
 // sumSpanCtx is the per-(branch, partition, worker) sumtable setup — the
 // eigenbasis views of both branch ends and the optional category-independent
-// tip projection tables — shared by the precomputed and chunked execution
-// paths (see nvSpanCtx).
+// tip projection tables — prepared once per span encounter (see nvSpanCtx).
+// A tip end whose chunk amortizes a projection table uses the per-code rows
+// of buildTipSumLeft/Right instead of re-projecting the same 0/1 tip vector
+// for every pattern and category (results are bit-identical).
 type sumSpanCtx struct {
 	e          *Engine
 	ip, w      int
@@ -229,66 +189,12 @@ func (c *sumSpanCtx) processGeneric(run schedule.Run) int {
 func (e *Engine) BranchDerivatives(z []float64, active []bool, d1, d2 []float64) {
 	act := e.activeOrAll(active)
 	e.refreshSchedule() // region boundary: adopt a rebalanced schedule if published
-	if e.stealRT != nil {
-		e.derivativesSteal(z, act, d1, d2)
-		return
-	}
-	e.Exec.Run(parallel.RegionDerivative, func(w int, ctx *parallel.WorkerCtx) {
-		partials := e.derivPartials[w]
-		ex := e.exScratch[w]
-		ops := 0.0
-		for ip := range e.Data.Parts {
-			partials[2*ip] = 0
-			partials[2*ip+1] = 0
-			if !act[ip] {
-				continue
-			}
-			var t0 time.Time
-			if e.measure {
-				t0 = time.Now() //plk:allow(timenow) measured-cost attribution; never feeds likelihood values
-			}
-			ops += e.derivativePartition(ip, z[ip], w, partials, ex)
-			if e.measure {
-				e.chargePartition(w, ip, t0)
-			}
-		}
-		ctx.Ops += ops
-	})
-	for ip := range d1 {
-		d1[ip], d2[ip] = 0, 0
-	}
-	for w := 0; w < e.Exec.Threads(); w++ {
-		partials := e.derivPartials[w]
-		for ip := range e.Data.Parts {
-			d1[ip] += partials[2*ip]
-			d2[ip] += partials[2*ip+1]
-		}
-	}
-}
-
-func (e *Engine) derivativePartition(ip int, z float64, w int, partials, ex []float64) float64 {
-	runs := e.workRuns(w, ip)
-	if len(runs) == 0 {
-		return 0
-	}
-	var c derivSpanCtx
-	e.prepareDerivSpan(&c, ip, z, ex)
-	dd1, dd2 := 0.0, 0.0
-	count := 0
-	for _, run := range runs {
-		r1, r2, n := c.process(run)
-		dd1 += r1
-		dd2 += r2
-		count += n
-	}
-	partials[2*ip] = dd1
-	partials[2*ip+1] = dd2
-	return float64(count) * opsDerivative(c.s, c.cats)
+	e.derivativeRegion(z, act, d1, d2)
 }
 
 // derivSpanCtx is the per-(partition, branch length, worker) derivative
 // setup: the per-category exponential and derivative-factor tables over the
-// worker's scratch. See nvSpanCtx for how the two execution paths share it.
+// worker's scratch, prepared once per span encounter (see nvSpanCtx).
 type derivSpanCtx struct {
 	e                  *Engine
 	ip                 int

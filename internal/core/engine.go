@@ -10,7 +10,9 @@
 // iterate precomputed index runs rather than hard-coding a stride. Every
 // public operation takes an optional per-partition activity mask, which is
 // the mechanism behind both oldPAR (one active partition at a time) and
-// newPAR (all non-converged partitions at once).
+// newPAR (all non-converged partitions at once). Every region runs through
+// one chunked driver per kernel (chunkexec.go); work stealing only changes
+// the chunk layout the driver walks.
 //
 // The whole package is a deterministic scope: likelihoods must be
 // bit-identical across runs and executor shapes (see DESIGN.md "Static
@@ -22,7 +24,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"phylo/internal/alignment"
 	"phylo/internal/model"
@@ -72,10 +73,12 @@ type Engine struct {
 	schedVersion int64
 	allMask      []bool // cached all-true partition mask (activeOrAll)
 
-	// Work-stealing state (nil/zero unless Options.Steal): the chunked-deque
-	// runtime over the pinned schedule, the session's minimum chunk size, and
-	// the per-chunk partial-sum buffers the fixed-order reductions use.
-	stealRT    *steal.Runtime
+	// Region execution state: the chunk runtime over the pinned schedule's
+	// layout (MinChunk-cut with thieving when steal, one chunk per schedule
+	// run without), the session's minimum chunk size, and the per-chunk
+	// partial-sum buffers the fixed-order reductions use.
+	rt         *steal.Runtime
+	useSteal   bool // Options.Steal
 	minChunk   int
 	evalChunk  []float64 // per-chunk evaluate partials
 	derivChunk []float64 // per-chunk (d1, d2) derivative partials
@@ -102,19 +105,13 @@ type Engine struct {
 	scales   [][]int32 // per inner node, per global pattern
 	sumtable []float64 // branch-derivative workspace (always pattern-major)
 
-	evalPartials  [][]float64 // per worker: per-partition lnL partials
-	derivPartials [][]float64 // per worker: per-partition (d1, d2) partials
-
 	// Batched-replicate state (see internal/core/batch.go): an optional
-	// single-vector weight override for the unbatched reductions, the
-	// per-worker R-wide partial buffers, and the per-chunk R-wide partial
-	// buffers of the work-stealing reductions. The batch buffers are sized
-	// lazily to the widest WeightSet the session has run.
-	weightOverride    []float64
-	batchEvalPartials [][]float64 // per worker: [partition*R + r] lnL partials
-	batchDerivParts   [][]float64 // per worker: [partition*2R + 2r(+1)] partials
-	batchEvalChunk    []float64   // steal path: [chunk*R + r] partials
-	batchDerivChunk   []float64   // steal path: [chunk*2R + 2r(+1)] partials
+	// single-vector weight override for the unbatched reductions and the
+	// per-chunk R-wide partial buffers, sized lazily to the widest WeightSet
+	// the session has run.
+	weightOverride  []float64
+	batchEvalChunk  []float64 // [chunk*R + r] partials
+	batchDerivChunk []float64 // [chunk*2R + 2r(+1)] partials
 
 	pmScratch  [][2][]float64 // per worker: two P-matrix buffers (cats x s x s)
 	exScratch  [][]float64    // per worker: exponential/derivative tables (3 x cats x s)
@@ -138,25 +135,26 @@ type Engine struct {
 
 // Options configures engine construction.
 type Options struct {
-	// Specialize enables the tip-case lookup tables (default true via New).
+	// Specialize enables the tip-case lookup tables.
 	Specialize bool
 	// Backend selects the kernel backend. The zero value (BackendAuto)
 	// adopts the shared state's backend; a non-auto value must match it —
-	// the backend fixes the CLV layout, which is shared property (New
-	// resolves it when building its own Shared).
+	// the backend fixes the CLV layout, which is shared property.
 	Backend Backend
 	// Schedule selects the pattern-to-worker assignment strategy. The zero
 	// value is schedule.Cyclic, the paper's distribution; schedule.Block is
 	// the contiguous ablation; schedule.Weighted LPT-bin-packs patterns by
 	// per-pattern op cost (see internal/schedule).
 	Schedule schedule.Strategy
-	// Steal switches the session to chunked work-stealing execution: the
-	// schedule's assignment is sliced into per-worker deques of chunks and a
+	// Steal switches the session to work-stealing execution: the schedule's
+	// assignment is sliced at MinChunk into per-worker deques of chunks and a
 	// worker that drains its deque steals the largest remaining half from
 	// the costliest victim, bounding intra-region tail latency that no
-	// precomputed assignment can see. Reductions run over per-chunk partials
-	// in fixed chunk order, so likelihoods and derivatives are bit-for-bit
-	// identical with stealing on or off (see internal/core/chunkexec.go).
+	// precomputed assignment can see. Without it every worker runs exactly
+	// its scheduled runs, one chunk each. Reductions run over per-chunk
+	// partials in fixed chunk order, so likelihoods and derivatives are
+	// bit-for-bit identical with thieving on or off (see
+	// internal/core/chunkexec.go).
 	Steal bool
 	// MinChunk is the minimum stealable chunk size in patterns (0 selects
 	// steal.DefaultMinChunk). Only meaningful with Steal.
@@ -171,30 +169,10 @@ type Options struct {
 	Tracer *obs.Tracer
 }
 
-// New builds a standalone engine: session-independent state is computed on
-// the spot and not shared with anyone. models must have one entry per
-// partition with matching data types and a common category count; the tree
-// must carry either one branch-length slot (joint estimate) or one per
-// partition. Callers that run several sessions over one dataset should call
-// NewShared once and NewSession per session instead.
-func New(data *alignment.CompressedData, tr *tree.Tree, models []*model.Model, exec parallel.Executor, opts Options) (*Engine, error) {
-	if data == nil || tr == nil || exec == nil {
-		return nil, errors.New("core: nil dataset, tree, or executor")
-	}
-	if len(models) == 0 {
-		return nil, errors.New("core: no models")
-	}
-	sh, err := NewSharedWith(data, models[0].NumCats, exec.Threads(), opts.Backend)
-	if err != nil {
-		return nil, err
-	}
-	return NewSession(sh, tr, models, exec, opts)
-}
-
 // NewSession builds a session engine over precomputed shared state: it
 // validates the session's tree, models, and executor against the dataset and
 // allocates only the per-session mutable buffers (CLVs, scaling vectors,
-// sumtable, per-worker partials and scratch). Any number of sessions may run
+// sumtable, per-worker scratch). Any number of sessions may run
 // concurrently over one Shared as long as each has its own executor (or a
 // PoolSession view of a shared pool).
 func NewSession(sh *Shared, tr *tree.Tree, models []*model.Model, exec parallel.Executor, opts Options) (*Engine, error) {
@@ -250,6 +228,7 @@ func NewSession(sh *Shared, tr *tree.Tree, models []*model.Model, exec parallel.
 		sched:          sched,
 		schedVersion:   version,
 		measure:        opts.Schedule == schedule.Measured,
+		useSteal:       opts.Steal,
 		minChunk:       opts.MinChunk,
 		numCats:        sh.NumCats,
 		maxS:           sh.maxS,
@@ -277,9 +256,8 @@ func NewSession(sh *Shared, tr *tree.Tree, models []*model.Model, exec parallel.
 	for i := range e.allMask {
 		e.allMask[i] = true
 	}
-	if opts.Steal {
-		e.stealRT = steal.NewRuntime(e.stealLayoutFor())
-	}
+	e.rt = steal.NewRuntime(e.chunkLayout())
+	e.rt.SetStealing(opts.Steal)
 	nInner := tr.NumInner()
 	e.clvs = make([][]float64, nInner)
 	e.scales = make([][]int32, nInner)
@@ -297,14 +275,10 @@ func NewSession(sh *Shared, tr *tree.Tree, models []*model.Model, exec parallel.
 		}
 	}
 	t := sh.Threads
-	e.evalPartials = make([][]float64, t)
-	e.derivPartials = make([][]float64, t)
 	e.pmScratch = make([][2][]float64, t)
 	e.exScratch = make([][]float64, t)
 	e.tipScratch = make([][2][]float64, t)
 	for w := 0; w < t; w++ {
-		e.evalPartials[w] = make([]float64, len(data.Parts))
-		e.derivPartials[w] = make([]float64, 2*len(data.Parts))
 		e.pmScratch[w] = [2][]float64{
 			alignedFloats(sh.NumCats * e.maxS * e.maxS),
 			alignedFloats(sh.NumCats * e.maxS * e.maxS),
@@ -380,11 +354,10 @@ func (e *Engine) Schedule() *schedule.Schedule { return e.sched }
 // and workers never observe a swap mid-region. For static strategies the
 // version never changes and this is one atomic load.
 //
-// On a steal-enabled session a schedule swap also rebuilds the chunk layout,
-// and ordering matters: the steal runtime is quiesced (Install panics on an
-// in-flight region) *before* the rebuilt schedule is pinned, so workers can
-// never hold chunk ids from one layout while the engine reduces partials
-// sized for another. Rebalances and regions are both issued from the session
+// A schedule swap also rebuilds the chunk layout, and ordering matters: the
+// chunk runtime is quiesced (Install panics on an in-flight region) before
+// the rebuilt layout is installed, so workers can never hold chunk ids from
+// one layout while the engine reduces partials sized for another. Rebalances and regions are both issued from the session
 // goroutine, which makes the quiesce a cheap invariant check rather than a
 // wait — the regression test runs adaptive rebalancing and stealing
 // concurrently under the race detector to keep it that way.
@@ -393,18 +366,8 @@ func (e *Engine) refreshSchedule() {
 	if version != e.schedVersion {
 		e.sched = sched
 		e.schedVersion = version
-		if e.stealRT != nil {
-			e.stealRT.Install(e.stealLayoutFor())
-		}
+		e.rt.Install(e.chunkLayout())
 	}
-}
-
-// workRuns returns worker w's share of partition ip as strided [Lo, Hi)
-// global pattern index runs, ascending. An empty slice means the worker has
-// no work in this partition and must skip it entirely (no P-matrix setup, no
-// op accounting), so idle workers record zero ops.
-func (e *Engine) workRuns(w, ip int) []schedule.Run {
-	return e.sched.SpanRuns(w, ip)
 }
 
 // activeOrAll returns the cached all-true mask when active is nil. Callers
@@ -415,16 +378,6 @@ func (e *Engine) activeOrAll(active []bool) []bool {
 		return active
 	}
 	return e.allMask
-}
-
-// chargePartition attributes the monotonic wall time since t0 and the
-// worker's current pattern share to the (worker, partition) sample cell.
-// Kernel region loops call it right after a partition's work when e.measure
-// is set — two clock reads per (region, step, partition, worker), paid only
-// by measured-strategy sessions.
-func (e *Engine) chargePartition(w, ip int, t0 time.Time) {
-	e.partSecs[w][ip] += time.Since(t0).Seconds() //plk:allow(timenow) measured-cost attribution; never feeds likelihood values
-	e.partPats[w][ip] += float64(runsPatternCount(e.workRuns(w, ip)))
 }
 
 // ObservedCosts derives per-partition per-pattern costs (seconds per

@@ -198,6 +198,25 @@ func randomAlignment(t *testing.T, n, m int, dtype alignment.DataType, seed int6
 	return a
 }
 
+// sequential returns the one-worker serial executor.
+func sequential() *parallel.Sim {
+	ex, err := parallel.NewSim(1)
+	if err != nil {
+		panic(err)
+	}
+	return ex
+}
+
+// newEngine builds a session over its own freshly computed Shared — the
+// one-session shape most kernel tests need.
+func newEngine(d *alignment.CompressedData, tr *tree.Tree, models []*model.Model, exec parallel.Executor, opts Options) (*Engine, error) {
+	sh, err := NewSharedWith(d, models[0].NumCats, exec.Threads(), opts.Backend)
+	if err != nil {
+		return nil, err
+	}
+	return NewSession(sh, tr, models, exec, opts)
+}
+
 func mkEngine(t *testing.T, a *alignment.Alignment, parts []alignment.Partition, models []*model.Model, zSlots int, treeSeed int64, exec parallel.Executor) (*Engine, *alignment.CompressedData, *tree.Tree) {
 	t.Helper()
 	d, err := alignment.Compress(a, parts, alignment.CompressOptions{})
@@ -208,7 +227,7 @@ func mkEngine(t *testing.T, a *alignment.Alignment, parts []alignment.Partition,
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(d, tr, models, exec, Options{Specialize: true})
+	eng, err := newEngine(d, tr, models, exec, Options{Specialize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +243,7 @@ func TestEngineMatchesBruteForceDNA(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, d, tr := mkEngine(t, a, alignment.SinglePartition(a, alignment.DNA, ""), []*model.Model{m}, 1, int64(n), parallel.NewSequential())
+		eng, d, tr := mkEngine(t, a, alignment.SinglePartition(a, alignment.DNA, ""), []*model.Model{m}, 1, int64(n), sequential())
 		got := eng.LogLikelihood()
 		want := bruteLogLikelihood(tr, d.Parts[0], m, 0)
 		if math.Abs(got-want) > 1e-7*math.Abs(want) {
@@ -239,7 +258,7 @@ func TestEngineMatchesBruteForceAA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, d, tr := mkEngine(t, a, alignment.SinglePartition(a, alignment.AA, ""), []*model.Model{m}, 1, 5, parallel.NewSequential())
+	eng, d, tr := mkEngine(t, a, alignment.SinglePartition(a, alignment.AA, ""), []*model.Model{m}, 1, 5, sequential())
 	got := eng.LogLikelihood()
 	want := bruteLogLikelihood(tr, d.Parts[0], m, 0)
 	if math.Abs(got-want) > 1e-7*math.Abs(want) {
@@ -255,7 +274,7 @@ func TestEngineMatchesBruteForceMultiPartition(t *testing.T) {
 	}
 	m0, _ := model.GTR([]float64{0.4, 0.1, 0.2, 0.3}, nil, 4, 0.5)
 	m1, _ := model.GTR([]float64{0.2, 0.3, 0.3, 0.2}, []float64{2, 1, 1, 1, 2, 1}, 4, 2.0)
-	eng, d, tr := mkEngine(t, a, parts, []*model.Model{m0, m1}, 2, 7, parallel.NewSequential())
+	eng, d, tr := mkEngine(t, a, parts, []*model.Model{m0, m1}, 2, 7, sequential())
 	// Give the partitions distinct branch lengths.
 	rng := rand.New(rand.NewSource(42))
 	for _, b := range tr.Branches() {
@@ -281,7 +300,7 @@ func TestPulleyPrinciple(t *testing.T) {
 	// The log likelihood must be invariant under virtual root placement.
 	a := randomAlignment(t, 8, 60, alignment.DNA, 17)
 	m, _ := model.GTR([]float64{0.27, 0.23, 0.24, 0.26}, []float64{0.8, 2.2, 1.4, 0.9, 2.9, 1}, 4, 0.8)
-	eng, _, tr := mkEngine(t, a, alignment.SinglePartition(a, alignment.DNA, ""), []*model.Model{m}, 1, 31, parallel.NewSequential())
+	eng, _, tr := mkEngine(t, a, alignment.SinglePartition(a, alignment.DNA, ""), []*model.Model{m}, 1, 31, sequential())
 	ref := eng.LogLikelihood()
 	for bi, b := range tr.Branches() {
 		root := b
@@ -310,7 +329,7 @@ func TestParallelEquivalence(t *testing.T) {
 		}
 		models[i] = m
 	}
-	seqEng, _, _ := mkEngine(t, a, parts, models, 1, 77, parallel.NewSequential())
+	seqEng, _, _ := mkEngine(t, a, parts, models, 1, 77, sequential())
 	ref := seqEng.LogLikelihood()
 	for _, mk := range []struct {
 		name string
@@ -354,7 +373,7 @@ func TestScalingTriggersAndStaysCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(d, tr, []*model.Model{m}, parallel.NewSequential(), Options{Specialize: true})
+	eng, err := newEngine(d, tr, []*model.Model{m}, sequential(), Options{Specialize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,12 +404,12 @@ func TestSpecializeEquivalence(t *testing.T) {
 	m, _ := model.GTR([]float64{0.31, 0.19, 0.27, 0.23}, nil, 4, 1.1)
 	d, _ := alignment.Compress(a, alignment.SinglePartition(a, alignment.DNA, ""), alignment.CompressOptions{})
 	tr, _ := tree.Random(taxaNames(9), 1, tree.RandomOptions{Seed: 10})
-	fast, err := New(d, tr, []*model.Model{m}, parallel.NewSequential(), Options{Specialize: true})
+	fast, err := newEngine(d, tr, []*model.Model{m}, sequential(), Options{Specialize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr2, _ := tree.Random(taxaNames(9), 1, tree.RandomOptions{Seed: 10})
-	slow, err := New(d, tr2, []*model.Model{m.Clone()}, parallel.NewSequential(), Options{Specialize: false})
+	slow, err := newEngine(d, tr2, []*model.Model{m.Clone()}, sequential(), Options{Specialize: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +424,7 @@ func TestBranchDerivativesMatchFiniteDifferences(t *testing.T) {
 	parts, _ := alignment.UniformPartitions(a, alignment.DNA, 22)
 	m0, _ := model.GTR(nil, nil, 4, 0.7)
 	m1, _ := model.GTR(nil, nil, 4, 1.9)
-	eng, _, tr := mkEngine(t, a, parts, []*model.Model{m0, m1}, 2, 13, parallel.NewSequential())
+	eng, _, tr := mkEngine(t, a, parts, []*model.Model{m0, m1}, 2, 13, sequential())
 	nParts := 2
 	root := tr.Tips[0].Back
 	eng.TraverseRoot(root, false, nil)
@@ -450,7 +469,7 @@ func TestActiveMaskRestrictsWork(t *testing.T) {
 	for i := range models {
 		models[i], _ = model.GTR(nil, nil, 4, 1)
 	}
-	eng, _, tr := mkEngine(t, a, parts, models, 1, 9, parallel.NewSequential())
+	eng, _, tr := mkEngine(t, a, parts, models, 1, 9, sequential())
 	ref := eng.LogLikelihood()
 	_, perAll := eng.Evaluate(tr.Tips[0].Back, nil)
 	mask := make([]bool, len(parts))
@@ -476,7 +495,7 @@ func TestActiveMaskRestrictsWork(t *testing.T) {
 func TestSiteLogLikelihoodsSumToTotal(t *testing.T) {
 	a := randomAlignment(t, 7, 33, alignment.DNA, 61)
 	m, _ := model.GTR(nil, nil, 4, 0.9)
-	eng, d, _ := mkEngine(t, a, alignment.SinglePartition(a, alignment.DNA, ""), []*model.Model{m}, 1, 3, parallel.NewSequential())
+	eng, d, _ := mkEngine(t, a, alignment.SinglePartition(a, alignment.DNA, ""), []*model.Model{m}, 1, 3, sequential())
 	total := eng.LogLikelihood()
 	site := eng.SiteLogLikelihoods(0)
 	sum := 0.0
@@ -493,12 +512,12 @@ func TestGammaConvergesToHomogeneous(t *testing.T) {
 	// 4-category likelihood must approach the homogeneous one monotonically.
 	a := randomAlignment(t, 6, 40, alignment.DNA, 77)
 	m1, _ := model.GTR(nil, nil, 1, 1)
-	e1, _, _ := mkEngine(t, a, alignment.SinglePartition(a, alignment.DNA, ""), []*model.Model{m1}, 1, 19, parallel.NewSequential())
+	e1, _, _ := mkEngine(t, a, alignment.SinglePartition(a, alignment.DNA, ""), []*model.Model{m1}, 1, 19, sequential())
 	l1 := e1.LogLikelihood()
 	var prevGap float64
 	for i, alpha := range []float64{0.5, 5, 99} {
 		m4, _ := model.GTR(nil, nil, 4, alpha)
-		e4, _, _ := mkEngine(t, a, alignment.SinglePartition(a, alignment.DNA, ""), []*model.Model{m4}, 1, 19, parallel.NewSequential())
+		e4, _, _ := mkEngine(t, a, alignment.SinglePartition(a, alignment.DNA, ""), []*model.Model{m4}, 1, 19, sequential())
 		gap := math.Abs(e4.LogLikelihood() - l1)
 		if i > 0 && gap > prevGap {
 			t.Errorf("alpha=%v: gap %v did not shrink from %v", alpha, gap, prevGap)
@@ -517,15 +536,19 @@ func TestNewValidation(t *testing.T) {
 	d, _ := alignment.Compress(a, alignment.SinglePartition(a, alignment.DNA, ""), alignment.CompressOptions{})
 	tr, _ := tree.Random(taxaNames(4), 1, tree.RandomOptions{Seed: 1})
 	m, _ := model.JC69(4, 1)
-	ex := parallel.NewSequential()
-	if _, err := New(nil, tr, []*model.Model{m}, ex, Options{}); err == nil {
+	ex := sequential()
+	if _, err := NewShared(nil, 4, 1); err == nil {
 		t.Error("expected error for nil data")
 	}
-	if _, err := New(d, tr, nil, ex, Options{}); err == nil {
+	sh, err := NewShared(d, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewSession(sh, tr, nil, ex, Options{}); err == nil {
 		t.Error("expected error for model count mismatch")
 	}
 	mAA, _ := model.SYN20(4, 1)
-	if _, err := New(d, tr, []*model.Model{mAA}, ex, Options{}); err == nil {
+	if _, err := NewSession(sh, tr, []*model.Model{mAA}, ex, Options{}); err == nil {
 		t.Error("expected error for model type mismatch")
 	}
 	m2, _ := model.JC69(2, 1)
@@ -534,20 +557,24 @@ func TestNewValidation(t *testing.T) {
 		{Name: "b", Type: alignment.DNA, Sites: []int{5, 6, 7, 8, 9}},
 	}
 	dd, _ := alignment.Compress(a, d2parts, alignment.CompressOptions{})
-	if _, err := New(dd, tr, []*model.Model{m, m2}, ex, Options{}); err == nil {
+	shd, err := NewShared(dd, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewSession(shd, tr, []*model.Model{m, m2}, ex, Options{}); err == nil {
 		t.Error("expected error for category count mismatch")
 	}
 	tr5, _ := tree.Random(taxaNames(4), 5, tree.RandomOptions{Seed: 1})
-	if _, err := New(dd, tr5, []*model.Model{m, m.Clone()}, ex, Options{}); err == nil {
+	if _, err := NewSession(shd, tr5, []*model.Model{m, m.Clone()}, ex, Options{}); err == nil {
 		t.Error("expected error for bad z-slot count")
 	}
 	tr3, _ := tree.Random(taxaNames(3), 1, tree.RandomOptions{Seed: 1})
-	if _, err := New(d, tr3, []*model.Model{m}, ex, Options{}); err == nil {
+	if _, err := NewSession(sh, tr3, []*model.Model{m}, ex, Options{}); err == nil {
 		t.Error("expected error for taxa count mismatch")
 	}
 	dirty, _ := model.JC69(4, 1)
 	dirty.SetExRate(0, 2)
-	if _, err := New(d, tr, []*model.Model{dirty}, ex, Options{}); err == nil {
+	if _, err := NewSession(sh, tr, []*model.Model{dirty}, ex, Options{}); err == nil {
 		t.Error("expected error for dirty model")
 	}
 }
@@ -555,7 +582,7 @@ func TestNewValidation(t *testing.T) {
 func TestPartialTraversalMatchesFull(t *testing.T) {
 	a := randomAlignment(t, 12, 70, alignment.DNA, 5)
 	m, _ := model.GTR(nil, nil, 4, 0.8)
-	eng, _, tr := mkEngine(t, a, alignment.SinglePartition(a, alignment.DNA, ""), []*model.Model{m}, 1, 6, parallel.NewSequential())
+	eng, _, tr := mkEngine(t, a, alignment.SinglePartition(a, alignment.DNA, ""), []*model.Model{m}, 1, 6, sequential())
 	ref := eng.LogLikelihood()
 	// Evaluate at every internal branch using partial traversals only; the
 	// incremental updates must agree with the full recomputation.
@@ -600,7 +627,7 @@ func TestEngineQuickProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		eng, err := New(d, tr, []*model.Model{m}, parallel.NewSequential(), Options{Specialize: true})
+		eng, err := newEngine(d, tr, []*model.Model{m}, sequential(), Options{Specialize: true})
 		if err != nil {
 			return false
 		}
@@ -614,7 +641,7 @@ func TestEngineQuickProperty(t *testing.T) {
 		}
 		defer pool.Close()
 		tr2, _ := tree.Random(taxaNames(n), 1, tree.RandomOptions{Seed: seed})
-		eng2, err := New(d, tr2, []*model.Model{m.Clone()}, pool, Options{Specialize: true})
+		eng2, err := newEngine(d, tr2, []*model.Model{m.Clone()}, pool, Options{Specialize: true})
 		if err != nil {
 			return false
 		}
@@ -645,7 +672,7 @@ func TestScheduleStrategiesEquivalentNumerics(t *testing.T) {
 		for i, m := range models {
 			cl[i] = m.Clone()
 		}
-		eng, err := New(d, tr, cl, sim, Options{Specialize: true, Schedule: strat})
+		eng, err := newEngine(d, tr, cl, sim, Options{Specialize: true, Schedule: strat})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -676,7 +703,7 @@ func TestBlockScheduleNarrowRegionImbalance(t *testing.T) {
 		for i, m := range models {
 			cl[i] = m.Clone()
 		}
-		eng, err := New(d, tr, cl, sim, Options{Specialize: true, Schedule: strat})
+		eng, err := newEngine(d, tr, cl, sim, Options{Specialize: true, Schedule: strat})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -714,14 +741,14 @@ func TestMoreThreadsThanPatterns(t *testing.T) {
 		t.Fatalf("fixture too wide: %d patterns", d.TotalPatterns)
 	}
 	m, _ := model.GTR(nil, nil, 4, 0.7)
-	seqEng, err := New(d, mustTree(t, 6, 11), []*model.Model{m.Clone()}, parallel.NewSequential(), Options{Specialize: true})
+	seqEng, err := newEngine(d, mustTree(t, 6, 11), []*model.Model{m.Clone()}, sequential(), Options{Specialize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := seqEng.LogLikelihood()
 	for _, strat := range []schedule.Strategy{schedule.Cyclic, schedule.Block, schedule.Weighted} {
 		sim, _ := parallel.NewSim(8)
-		eng, err := New(d, mustTree(t, 6, 11), []*model.Model{m.Clone()}, sim, Options{Specialize: true, Schedule: strat})
+		eng, err := newEngine(d, mustTree(t, 6, 11), []*model.Model{m.Clone()}, sim, Options{Specialize: true, Schedule: strat})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -789,7 +816,7 @@ func TestSharedSessionsMatchStandalone(t *testing.T) {
 	}
 	defer pool0.Close()
 	tr0, _ := tree.Random(taxaNames(8), 1, tree.RandomOptions{Seed: 5})
-	ref, err := New(d, tr0, mkModels(), pool0, Options{Specialize: true})
+	ref, err := newEngine(d, tr0, mkModels(), pool0, Options{Specialize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -841,7 +868,7 @@ func TestSharedSessionsMatchStandalone(t *testing.T) {
 	}
 
 	// Mismatched executor width must be rejected.
-	seq := parallel.NewSequential()
+	seq := sequential()
 	tr1, _ := tree.Random(taxaNames(8), 1, tree.RandomOptions{Seed: 5})
 	if _, err := NewSession(sh, tr1, mkModels(), seq, Options{}); err == nil {
 		t.Error("expected error for executor/shared thread mismatch")

@@ -3,10 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"phylo/internal/alignment"
-	"phylo/internal/parallel"
 	"phylo/internal/schedule"
 	"phylo/internal/tree"
 )
@@ -26,42 +24,7 @@ func (e *Engine) Evaluate(p *tree.Node, active []bool) (float64, []float64) {
 	// as the pi-weighted "left" vector, which may be a tip vector too.
 	act := e.activeOrAll(active)
 	e.refreshSchedule() // region boundary: adopt a rebalanced schedule if published
-	if e.stealRT != nil {
-		return e.evaluateSteal(p, q, act)
-	}
-	e.Exec.Run(parallel.RegionEvaluate, func(w int, ctx *parallel.WorkerCtx) {
-		partials := e.evalPartials[w]
-		pm := e.pmScratch[w][0]
-		ops := 0.0
-		for ip := range e.Data.Parts {
-			if !act[ip] {
-				partials[ip] = 0
-				continue
-			}
-			var t0 time.Time
-			if e.measure {
-				t0 = time.Now() //plk:allow(timenow) measured-cost attribution; never feeds likelihood values
-			}
-			partials[ip], ops = e.evaluatePartition(p, q, ip, w, pm, ops)
-			if e.measure {
-				e.chargePartition(w, ip, t0)
-			}
-		}
-		ctx.Ops += ops
-	})
-	perPart := make([]float64, len(e.Data.Parts))
-	total := 0.0
-	for w := 0; w < e.Exec.Threads(); w++ {
-		for ip, v := range e.evalPartials[w] {
-			perPart[ip] += v
-		}
-	}
-	for ip, v := range perPart {
-		if act[ip] {
-			total += v
-		}
-	}
-	return total, perPart
+	return e.evaluateRegion(p, q, act)
 }
 
 // patternLi is the per-pattern evaluate kernel shared by the parallel
@@ -121,32 +84,12 @@ func (c *evalSpanCtx) patternLi(j, off int) float64 {
 	return li
 }
 
-// evaluatePartition reduces worker w's share of one partition's site log
-// likelihoods and returns (partialSum, accumulated ops). A tip on the q side
-// whose share amortizes a lookup table skips the per-pattern P application
-// entirely (tip-case specialization; results are bit-identical).
-func (e *Engine) evaluatePartition(p, q *tree.Node, ip, w int, pm []float64, ops float64) (float64, float64) {
-	runs := e.workRuns(w, ip)
-	if len(runs) == 0 {
-		return 0, ops
-	}
-	var c evalSpanCtx
-	e.prepareEvalSpan(&c, p, q, ip, w, pm)
-	c.ensureTable(runsPatternCount(runs))
-	sum := 0.0
-	count := 0
-	for _, run := range runs {
-		s, n := c.process(run)
-		sum += s
-		count += n
-	}
-	return sum, ops + c.takeOps(count)
-}
-
-// evalSpanCtx is the per-(partition, worker) evaluate setup, shared by the
-// precomputed-assignment reduction (one contiguous share per worker, summed
-// per worker) and the chunked work-stealing reduction (one partial sum per
-// chunk, reduced master-side in fixed chunk order). See nvSpanCtx.
+// evalSpanCtx is the per-(partition, worker) evaluate setup the region
+// driver prepares once per span encounter; each chunk yields one partial
+// sum, reduced master-side in fixed chunk order. A tip on the q side whose
+// chunk amortizes a lookup table skips the per-pattern P application
+// entirely (tip-case specialization; results are bit-identical). See
+// nvSpanCtx.
 type evalSpanCtx struct {
 	e          *Engine
 	ip, w      int

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"phylo/internal/alignment"
 	"phylo/internal/parallel"
 	"phylo/internal/schedule"
@@ -44,70 +42,23 @@ func (e *Engine) ExecuteSteps(steps []tree.TraversalStep, active []bool) {
 	}
 	act := e.activeOrAll(active)
 	e.refreshSchedule() // region boundary: adopt a rebalanced schedule if published
-	if e.stealRT != nil {
-		e.executeStepsSteal(steps, act)
-		return
-	}
-	e.Exec.Run(parallel.RegionNewview, func(w int, ctx *parallel.WorkerCtx) {
-		pmQ := e.pmScratch[w][0]
-		pmR := e.pmScratch[w][1]
-		ops := 0.0
-		for _, st := range steps {
-			for ip := range e.Data.Parts {
-				if !act[ip] {
-					continue
-				}
-				var t0 time.Time
-				if e.measure {
-					t0 = time.Now() //plk:allow(timenow) measured-cost attribution; never feeds likelihood values
-				}
-				ops += e.newviewPartition(st, ip, w, pmQ, pmR, ctx)
-				if e.measure {
-					e.chargePartition(w, ip, t0)
-				}
-			}
-		}
-		ctx.Ops += ops
-	})
-}
-
-// newviewPartition recomputes worker w's share of partition ip for one
-// traversal step and returns the weighted op count. With Specialize on it
-// dispatches on the children's kinds: tip children whose share amortizes a
-// lookup table (see tiptables.go) become O(cats·s) table-row reads instead
-// of O(cats·s²) P applications — the tip/tip case additionally touches no
-// child CLVs and no child scaling vectors at all. All paths produce
-// bit-identical CLVs; the generic path remains reachable via Specialize
-// false (A/B ablation) and for shares too narrow to amortize a table.
-// Observability counters (patterns processed, span case, scaling events)
-// flush into ctx here — once per (step, partition), off the pattern loop.
-func (e *Engine) newviewPartition(st tree.TraversalStep, ip, w int, pmQ, pmR []float64, ctx *parallel.WorkerCtx) float64 {
-	runs := e.workRuns(w, ip)
-	if len(runs) == 0 {
-		return 0
-	}
-	var c nvSpanCtx
-	e.prepareNewviewSpan(&c, st, ip, w, pmQ, pmR)
-	c.ensureTables(runsPatternCount(runs))
-	count := 0
-	for _, run := range runs {
-		count += c.process(run)
-	}
-	c.noteSpan(ctx)
-	ctx.Patterns += float64(count)
-	ctx.Scalings += c.scaled
-	return c.takeOps(count)
+	e.newviewRegion(steps, act)
 }
 
 // nvSpanCtx is the per-(step, partition, worker) newview setup — transition
 // matrices, child CLV/tip bindings, layout strides, and the optional tip
-// lookup tables — factored out of the pattern loop so that both execution
-// models share one kernel body: the precomputed-assignment path prepares once
-// per worker and span and processes the worker's whole share, while the
-// work-stealing path prepares once per (worker, span) encounter and processes
-// one chunk at a time (re-using the setup across consecutive chunks of the
-// same span). The pattern loops themselves run in the backend implementation
-// bound at kern (see KernelBackend).
+// lookup tables — factored out of the pattern loop: the region driver
+// prepares it once per (worker, span) encounter and processes one chunk at a
+// time, re-using the setup across consecutive chunks of the same span. The
+// pattern loops themselves run in the backend implementation bound at kern
+// (see KernelBackend).
+//
+// With Specialize on, tip children whose chunk amortizes a lookup table
+// (see tiptables.go) become O(cats·s) table-row reads instead of O(cats·s²)
+// P applications — the tip/tip case additionally touches no child CLVs and
+// no child scaling vectors at all. All paths produce bit-identical CLVs; the
+// generic path remains reachable via Specialize false (A/B ablation) and for
+// chunks too narrow to amortize a table.
 type nvSpanCtx struct {
 	e          *Engine
 	ip, w      int
@@ -212,8 +163,7 @@ func (c *nvSpanCtx) takeOps(count int) float64 {
 // process executes the newview kernel over one pattern run and returns the
 // pattern count, dispatching through the partition's backend. The per-pattern
 // arithmetic is identical whichever worker runs it and however the run was
-// sliced, which is what makes chunked (stolen) and precomputed execution
-// bit-identical.
+// sliced, which is what makes stolen and static execution bit-identical.
 func (c *nvSpanCtx) process(run schedule.Run) int {
 	return c.kern.Newview(c, run)
 }

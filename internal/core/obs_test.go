@@ -41,7 +41,7 @@ func obsGateEngine(t *testing.T, exec parallel.Executor, opts Options) *Engine {
 // that metrics-on adds 0 allocs/op on top.
 func TestMetricsZeroAllocsOnNewviewRegion(t *testing.T) {
 	run := func(observed bool) float64 {
-		exec := parallel.NewSequential()
+		exec := sequential()
 		if observed {
 			reg := obs.NewRegistry()
 			exec.SetObserver(parallel.NewMetricsCollector(reg, "sequential", "fused4", 1, nil))
@@ -66,7 +66,7 @@ func TestMetricsZeroAllocsOnNewviewRegion(t *testing.T) {
 // values.
 func TestEngineObsFamilies(t *testing.T) {
 	reg := obs.NewRegistry()
-	exec := parallel.NewSequential()
+	exec := sequential()
 	exec.SetObserver(parallel.NewMetricsCollector(reg, "sequential", "generic", 1, nil))
 	eng := obsGateEngine(t, exec, Options{Specialize: true, Metrics: reg})
 	eng.LogLikelihood()

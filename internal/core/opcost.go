@@ -135,8 +135,8 @@ func opsDerivativeBatch(states, cats, lanes int) float64 {
 
 // opsTipTable is the one-off cost of precomputing a per-code lookup table
 // for one tip child: codes rows of cats×s entries, each an s-term dot
-// product. It amortizes over the worker's pattern share, which is why the
-// kernels only build tables for shares above tipTableMinPatterns.
+// product. It amortizes over the chunk being processed, which is why the
+// kernels only build tables for chunks of at least tipTableMinPatterns.
 func opsTipTable(states, cats, codes int) float64 {
 	return float64(codes * cats * states * states)
 }

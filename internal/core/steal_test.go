@@ -99,12 +99,12 @@ func requireBitIdentical(t *testing.T, label string, a, b stealResult) {
 }
 
 // TestStealBitIdentityAcrossExecutorsAndToggle is the acceptance test for
-// the determinism contract: with the chunked execution path, likelihoods and
-// both branch derivatives are bit-for-bit identical (a) with thieving on vs
-// off, (b) across Pool sessions (which really steal), Sim (serial, never
-// steals), and Sequential (T=1), at 1 and 4 Gamma categories on mixed
-// DNA+AA data — and within reassociation tolerance of the legacy
-// (non-chunked) path. The weighted schedule is deliberately mispriced so the
+// the determinism contract: under the MinChunk (steal) layout, likelihoods
+// and both branch derivatives are bit-for-bit identical (a) with thieving on
+// vs off, (b) across Pool sessions (which really steal), Sim (serial, never
+// steals), and a one-worker executor, at 1 and 4 Gamma categories on mixed
+// DNA+AA data — and within reassociation tolerance of the static
+// (one-chunk-per-run) layout. The weighted schedule is deliberately mispriced so the
 // static pack is skewed and the pool runs must actually steal.
 func TestStealBitIdentityAcrossExecutorsAndToggle(t *testing.T) {
 	for _, cats := range []int{1, 4} {
@@ -162,24 +162,24 @@ func TestStealBitIdentityAcrossExecutorsAndToggle(t *testing.T) {
 		requireBitIdentical(t, "pool-stealing vs pool-no-steal", resPool, resToggle)
 		requireBitIdentical(t, "pool-stealing vs sim-serial", resPool, resSim)
 
-		// Sequential (T=1) chunked execution: stealing on vs off identical.
+		// One-worker execution: stealing on vs off identical.
 		shSeq, err := NewShared(d, cats, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		engSeq := mk(parallel.NewSequential(), shSeq, stealOpts)
+		engSeq := mk(sequential(), shSeq, stealOpts)
 		resSeq := runStealResult(t, engSeq)
-		engSeqOff := mk(parallel.NewSequential(), shSeq, stealOpts)
+		engSeqOff := mk(sequential(), shSeq, stealOpts)
 		engSeqOff.SetStealing(false)
 		resSeqOff := runStealResult(t, engSeqOff)
 		requireBitIdentical(t, "sequential toggle", resSeq, resSeqOff)
 
-		// The chunked reduction regroups the per-worker sums, so against the
-		// legacy path it agrees to reassociation tolerance, not bitwise.
-		engLegacy := mk(pool.Session(), sh, Options{Specialize: true, Schedule: schedule.Weighted})
-		resLegacy := runStealResult(t, engLegacy)
-		if diff := math.Abs(resLegacy.lnl - resPool.lnl); diff > 1e-9*math.Abs(resLegacy.lnl) {
-			t.Errorf("cats=%d: steal lnL %v vs legacy %v (diff %v)", cats, resPool.lnl, resLegacy.lnl, diff)
+		// The MinChunk layout regroups the per-worker sums, so against the
+		// static layout it agrees to reassociation tolerance, not bitwise.
+		engStatic := mk(pool.Session(), sh, Options{Specialize: true, Schedule: schedule.Weighted})
+		resStatic := runStealResult(t, engStatic)
+		if diff := math.Abs(resStatic.lnl - resPool.lnl); diff > 1e-9*math.Abs(resStatic.lnl) {
+			t.Errorf("cats=%d: steal-layout lnL %v vs static-layout %v (diff %v)", cats, resPool.lnl, resStatic.lnl, diff)
 		}
 		if diff := math.Abs(resSeq.lnl - resPool.lnl); diff > 1e-9*math.Abs(resPool.lnl) {
 			t.Errorf("cats=%d: T=1 lnL %v vs T=3 %v", cats, resSeq.lnl, resPool.lnl)
@@ -284,7 +284,7 @@ func TestStealComposesWithMeasuredRebalance(t *testing.T) {
 	defer pool.Close()
 
 	trRef, _ := tree.Random(taxaNames(8), 1, tree.RandomOptions{Seed: 61})
-	seqEng, err := New(d, trRef, []*model.Model{models[0].Clone(), models[1].Clone()}, parallel.NewSequential(), Options{Specialize: true})
+	seqEng, err := newEngine(d, trRef, []*model.Model{models[0].Clone(), models[1].Clone()}, sequential(), Options{Specialize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestStealSmoothedCostsAcrossWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr, _ := tree.Random(taxaNames(8), 1, tree.RandomOptions{Seed: 3})
-	eng, err := New(d, tr, models, sim, Options{Specialize: true, Schedule: schedule.Measured})
+	eng, err := newEngine(d, tr, models, sim, Options{Specialize: true, Schedule: schedule.Measured})
 	if err != nil {
 		t.Fatal(err)
 	}

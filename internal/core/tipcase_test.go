@@ -6,7 +6,6 @@ import (
 
 	"phylo/internal/alignment"
 	"phylo/internal/model"
-	"phylo/internal/parallel"
 	"phylo/internal/tree"
 )
 
@@ -46,7 +45,7 @@ func specAndGenericEngines(t *testing.T, a *alignment.Alignment, dtype alignment
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := New(d, tr, []*model.Model{tipCaseModels(t, dtype, cats, alpha)}, parallel.NewSequential(), Options{Specialize: specialize})
+		eng, err := newEngine(d, tr, []*model.Model{tipCaseModels(t, dtype, cats, alpha)}, sequential(), Options{Specialize: specialize})
 		if err != nil {
 			t.Fatal(err)
 		}

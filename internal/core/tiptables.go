@@ -2,7 +2,6 @@ package core
 
 import (
 	"phylo/internal/alignment"
-	"phylo/internal/schedule"
 )
 
 // Tip-case lookup tables (the RAxML tip-case trick): a tip child never
@@ -28,12 +27,13 @@ import (
 // backend choice. The per-worker table scratch is cache-line-aligned like
 // every other hot buffer (see alignedFloats).
 
-// tipTableMinPatterns is the minimum per-worker pattern share for which
-// building a lookup table beats per-pattern tip-vector expansion: the build
-// costs codes·cats·s² multiply-adds while every pattern saves ~cats·s(s-1),
-// so break-even sits near the code count; the factor 2 also covers the
-// table's cache footprint. Shares below it keep the generic path (results
-// are identical either way).
+// tipTableMinPatterns is the minimum chunk size (under the static layout, a
+// worker's whole share of a span) for which building a lookup table beats
+// per-pattern tip-vector expansion: the build costs codes·cats·s²
+// multiply-adds while every pattern saves ~cats·s(s-1), so break-even sits
+// near the code count; the factor 2 also covers the table's cache
+// footprint. Smaller chunks keep the generic path (results are identical
+// either way).
 func tipTableMinPatterns(t alignment.DataType) int {
 	return 2 * alignment.NumCodes(t)
 }
@@ -99,14 +99,4 @@ func buildTipSumRight(dst []float64, t alignment.DataType, vi []float64, s int) 
 		}
 	}
 	return dst[:codes*s]
-}
-
-// runsPatternCount totals the patterns of a worker's run list; the kernels
-// use it to decide whether a tip table amortizes over the share.
-func runsPatternCount(runs []schedule.Run) int {
-	n := 0
-	for _, r := range runs {
-		n += r.Len()
-	}
-	return n
 }

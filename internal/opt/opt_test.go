@@ -70,7 +70,7 @@ func buildFixture(t *testing.T, nTaxa, nSites, partLen int, perPartBL bool, exec
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := core.New(d, tr, models, exec, core.Options{Specialize: true})
+	eng, err := newEngine(d, tr, models, exec, core.Options{Specialize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func buildFixture(t *testing.T, nTaxa, nSites, partLen int, perPartBL bool, exec
 
 func TestOptimizeBranchImprovesAndZeroesGradient(t *testing.T) {
 	for _, perPart := range []bool{false, true} {
-		fx := buildFixture(t, 8, 60, 20, perPart, parallel.NewSequential(), 11)
+		fx := buildFixture(t, 8, 60, 20, perPart, sequential(), 11)
 		o := New(fx.eng, DefaultConfig(NewPar))
 		before := fx.eng.LogLikelihood()
 		root := fx.tr.Tips[0].Back
@@ -119,8 +119,8 @@ func TestOptimizeBranchImprovesAndZeroesGradient(t *testing.T) {
 func TestOldParNewParSameOptimum(t *testing.T) {
 	// The two strategies must find the same branch lengths and likelihood;
 	// they differ only in region decomposition.
-	seqA := parallel.NewSequential()
-	seqB := parallel.NewSequential()
+	seqA := sequential()
+	seqB := sequential()
 	fxOld := buildFixture(t, 10, 80, 20, true, seqA, 23)
 	fxNew := buildFixture(t, 10, 80, 20, true, seqB, 23)
 	oOld := New(fxOld.eng, DefaultConfig(OldPar))
@@ -170,8 +170,8 @@ func TestJointBLStrategiesIdentical(t *testing.T) {
 	// With a joint branch-length estimate the branch optimizer takes the
 	// same code path under both strategies (the paper's ~5% case: only the
 	// model-optimization phase differs).
-	seqA := parallel.NewSequential()
-	seqB := parallel.NewSequential()
+	seqA := sequential()
+	seqB := sequential()
 	fxOld := buildFixture(t, 8, 60, 20, false, seqA, 7)
 	fxNew := buildFixture(t, 8, 60, 20, false, seqB, 7)
 	lOld := New(fxOld.eng, DefaultConfig(OldPar)).SmoothAll(context.Background())
@@ -182,7 +182,7 @@ func TestJointBLStrategiesIdentical(t *testing.T) {
 }
 
 func TestSmoothAllMonotone(t *testing.T) {
-	fx := buildFixture(t, 12, 100, 25, true, parallel.NewSequential(), 3)
+	fx := buildFixture(t, 12, 100, 25, true, sequential(), 3)
 	o := New(fx.eng, DefaultConfig(NewPar))
 	prev := fx.eng.LogLikelihood()
 	for pass := 0; pass < 3; pass++ {
@@ -196,7 +196,7 @@ func TestSmoothAllMonotone(t *testing.T) {
 
 func TestOptimizeAlphasImproves(t *testing.T) {
 	for _, strat := range []Strategy{OldPar, NewPar} {
-		fx := buildFixture(t, 8, 80, 40, true, parallel.NewSequential(), 17)
+		fx := buildFixture(t, 8, 80, 40, true, sequential(), 17)
 		o := New(fx.eng, DefaultConfig(strat))
 		before := fx.eng.LogLikelihood()
 		o.OptimizeAlphas()
@@ -208,8 +208,8 @@ func TestOptimizeAlphasImproves(t *testing.T) {
 }
 
 func TestOptimizeAlphasStrategiesAgree(t *testing.T) {
-	fxOld := buildFixture(t, 8, 80, 20, true, parallel.NewSequential(), 29)
-	fxNew := buildFixture(t, 8, 80, 20, true, parallel.NewSequential(), 29)
+	fxOld := buildFixture(t, 8, 80, 20, true, sequential(), 29)
+	fxNew := buildFixture(t, 8, 80, 20, true, sequential(), 29)
 	oOld := New(fxOld.eng, DefaultConfig(OldPar))
 	oNew := New(fxNew.eng, DefaultConfig(NewPar))
 	oOld.OptimizeAlphas()
@@ -224,8 +224,8 @@ func TestOptimizeAlphasStrategiesAgree(t *testing.T) {
 }
 
 func TestOptimizeRatesImprovesAndAgrees(t *testing.T) {
-	fxOld := buildFixture(t, 8, 60, 30, true, parallel.NewSequential(), 41)
-	fxNew := buildFixture(t, 8, 60, 30, true, parallel.NewSequential(), 41)
+	fxOld := buildFixture(t, 8, 60, 30, true, sequential(), 41)
+	fxNew := buildFixture(t, 8, 60, 30, true, sequential(), 41)
 	oOld := New(fxOld.eng, DefaultConfig(OldPar))
 	oNew := New(fxNew.eng, DefaultConfig(NewPar))
 	before := fxOld.eng.LogLikelihood()
@@ -242,7 +242,7 @@ func TestOptimizeRatesImprovesAndAgrees(t *testing.T) {
 }
 
 func TestOptimizeModelConverges(t *testing.T) {
-	fx := buildFixture(t, 8, 80, 40, true, parallel.NewSequential(), 53)
+	fx := buildFixture(t, 8, 80, 40, true, sequential(), 53)
 	o := New(fx.eng, DefaultConfig(NewPar))
 	before := fx.eng.LogLikelihood()
 	lnl, rounds, _ := o.OptimizeModel(context.Background())
@@ -265,7 +265,7 @@ func TestOptimizeModelParallelMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	fxSeq := buildFixture(t, 8, 60, 20, true, parallel.NewSequential(), 67)
+	fxSeq := buildFixture(t, 8, 60, 20, true, sequential(), 67)
 	fxPar := buildFixture(t, 8, 60, 20, true, pool, 67)
 	lSeq, _, _ := New(fxSeq.eng, DefaultConfig(NewPar)).OptimizeModel(context.Background())
 	lPar, _, _ := New(fxPar.eng, DefaultConfig(NewPar)).OptimizeModel(context.Background())
@@ -313,7 +313,7 @@ func opsFullDerivWidth(fx *fixture) float64 {
 // cancellation error is propagated (the silent-discard bug fixed in the
 // Dataset/session redesign).
 func TestOptimizeModelCancellation(t *testing.T) {
-	fx := buildFixture(t, 8, 200, 50, true, parallel.NewSequential(), 23)
+	fx := buildFixture(t, 8, 200, 50, true, sequential(), 23)
 	o := New(fx.eng, DefaultConfig(NewPar))
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -342,7 +342,7 @@ func TestOptimizeModelCancellation(t *testing.T) {
 // TestProgressCallback: one event per completed outer round, with the
 // round's log likelihood.
 func TestProgressCallback(t *testing.T) {
-	fx := buildFixture(t, 6, 120, 40, false, parallel.NewSequential(), 29)
+	fx := buildFixture(t, 6, 120, 40, false, sequential(), 29)
 	cfg := DefaultConfig(NewPar)
 	var rounds []int
 	var lnls []float64
@@ -366,4 +366,22 @@ func TestProgressCallback(t *testing.T) {
 	if lnls[len(lnls)-1] != final {
 		t.Errorf("last event lnl %v != final %v", lnls[len(lnls)-1], final)
 	}
+}
+
+// sequential returns the one-worker serial executor.
+func sequential() *parallel.Sim {
+	ex, err := parallel.NewSim(1)
+	if err != nil {
+		panic(err)
+	}
+	return ex
+}
+
+// newEngine opens a kernel session over its own freshly computed Shared.
+func newEngine(d *alignment.CompressedData, tr *tree.Tree, models []*model.Model, exec parallel.Executor, opts core.Options) (*core.Engine, error) {
+	sh, err := core.NewSharedWith(d, models[0].NumCats, exec.Threads(), opts.Backend)
+	if err != nil {
+		return nil, err
+	}
+	return core.NewSession(sh, tr, models, exec, opts)
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"phylo/internal/core"
-	"phylo/internal/parallel"
 )
 
 // TestWeightedUniformMatchesUnweighted pins the override plumbing: optimizing
@@ -14,13 +13,13 @@ import (
 // as an override) must reproduce the unweighted optimization bit for bit —
 // same values flow through the same reductions.
 func TestWeightedUniformMatchesUnweighted(t *testing.T) {
-	plain := buildFixture(t, 8, 120, 40, true, parallel.NewSequential(), 31)
+	plain := buildFixture(t, 8, 120, 40, true, sequential(), 31)
 	want, _, err := New(plain.eng, DefaultConfig(NewPar)).OptimizeModel(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	weighted := buildFixture(t, 8, 120, 40, true, parallel.NewSequential(), 31)
+	weighted := buildFixture(t, 8, 120, 40, true, sequential(), 31)
 	cfg := DefaultConfig(NewPar)
 	uni, err := core.UniformWeightSet(weighted.d, 1)
 	if err != nil {
@@ -41,7 +40,7 @@ func TestWeightedUniformMatchesUnweighted(t *testing.T) {
 // weights, then check the weighted score equals the sum of the per-replicate
 // batched scores — the aggregate identity the mode rests on.
 func TestWeightedAggregateIdentity(t *testing.T) {
-	fx := buildFixture(t, 8, 120, 40, false, parallel.NewSequential(), 32)
+	fx := buildFixture(t, 8, 120, 40, false, sequential(), 32)
 	ws, err := core.NewWeightSet(fx.d, 5, 77)
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +74,7 @@ func TestWeightedAggregateIdentity(t *testing.T) {
 // TestWeightedInvalidPanics pins the bind-time contract for structurally
 // impossible weight sets (width != 1).
 func TestWeightedInvalidPanics(t *testing.T) {
-	fx := buildFixture(t, 6, 60, 60, false, parallel.NewSequential(), 33)
+	fx := buildFixture(t, 6, 60, 60, false, sequential(), 33)
 	cfg := DefaultConfig(NewPar)
 	wide, err := core.UniformWeightSet(fx.d, 2)
 	if err != nil {

@@ -10,15 +10,15 @@
 // through WorkerCtx, so the statistics and the virtual platform model price
 // whatever assignment the schedule produced.
 //
-// Three executors share one interface:
+// Two executors share one interface:
 //
-//   - Sequential: a single worker, no synchronization (baseline runs).
 //   - Pool: persistent worker goroutines with channel fan-out and a barrier
 //     (real wall-clock parallelism).
 //   - Sim: T *virtual* workers executed serially while a virtual clock
 //     advances by max-per-worker cost plus a platform-dependent barrier cost;
 //     this reproduces the paper's 8- and 16-core platforms on any host (see
-//     DESIGN.md, substitution #1).
+//     DESIGN.md, substitution #1). Sim with T=1 is the sequential baseline:
+//     one worker, no synchronization.
 package parallel
 
 import "time"
@@ -80,8 +80,8 @@ func (r Region) String() string {
 // exists to expose.
 //
 // Concurrent tells region closures whether the executor runs its workers on
-// real concurrent goroutines (the pool) or serially on one goroutine (Sim,
-// Sequential, and a pool session degraded by a closed pool). The
+// real concurrent goroutines (the pool) or serially on one goroutine (Sim
+// and a pool session degraded by a closed pool). The
 // work-stealing runtime keys on it: serial virtual workers must neither steal
 // (worker 0 would swallow everything before worker 1 ever "starts") nor wait
 // at intra-region step barriers (which would deadlock a single goroutine).
@@ -174,47 +174,69 @@ type Executor interface {
 	Close()
 }
 
-// Sequential is the single-worker executor.
-type Sequential struct {
-	ctxs   [1]WorkerCtx
-	stats  Stats
-	ops    [1]float64
-	times  [1]float64
-	steals [1]float64
-	stolen [1]float64
-	obs    RegionObserver
+// workers is the per-worker region scratch every executor keeps: the padded
+// WorkerCtx array the region closures write, and the master-side per-region
+// op, work-time, steal-count and stolen-pattern scratch the statistics fold
+// in after the barrier.
+type workers struct {
+	ctxs   []WorkerCtx
+	ops    []float64
+	times  []float64 // seconds, net of in-region synchronization waits
+	steals []float64
+	stolen []float64
 }
 
-// NewSequential returns a sequential executor.
-func NewSequential() *Sequential { return &Sequential{} }
+func newWorkers(threads int) workers {
+	ws := workers{
+		ctxs:   make([]WorkerCtx, threads),
+		ops:    make([]float64, threads),
+		times:  make([]float64, threads),
+		steals: make([]float64, threads),
+		stolen: make([]float64, threads),
+	}
+	for w := range ws.ctxs {
+		ws.ctxs[w].Worker = w
+	}
+	return ws
+}
 
-// Threads returns 1.
-func (s *Sequential) Threads() int { return 1 }
+// collect copies worker w's region counters into the master-side scratch.
+// A worker whose assignment was empty left Ops at the zero beginRegion reset
+// it to; it enters the statistics as exactly zero rather than being skipped,
+// so idle workers show up in the imbalance. Seconds are taken net of
+// in-region synchronization waits (Idle), so multi-step stealing regions
+// report work time, not synchronized wall time.
+func (ws *workers) collect(w int) {
+	ctx := &ws.ctxs[w]
+	ws.ops[w] = ctx.Ops
+	ws.times[w] = ctx.workSeconds()
+	ws.steals[w] = ctx.Steals
+	ws.stolen[w] = ctx.StolenPatterns
+}
 
-// SetObserver installs a region observer (nil detaches). Not safe to call
-// concurrently with Run.
-func (s *Sequential) SetObserver(o RegionObserver) { s.obs = o }
-
-// Run executes fn for the single worker, timing it like the pool does.
-func (s *Sequential) Run(kind Region, fn func(w int, ctx *WorkerCtx)) {
-	ctx := &s.ctxs[0]
-	ctx.beginRegion(false)
-	start := time.Now()
-	fn(0, ctx)
-	wall := time.Since(start).Seconds()
-	ctx.Seconds = wall
-	s.ops[0] = ctx.Ops
-	s.times[0] = ctx.workSeconds()
-	s.steals[0] = ctx.Steals
-	s.stolen[0] = ctx.StolenPatterns
-	s.stats.record(kind, s.ops[:], s.times[:], s.steals[:], s.stolen[:])
-	if s.obs != nil {
-		s.obs.ObserveRegion(kind, start, wall, s.ctxs[:])
+// runSerial executes fn for every worker, one after another on the calling
+// goroutine, timing each worker's closure individually on the monotonic
+// clock — an honest (contention-free) sample of that share's cost on this
+// host, which the measured schedule strategy consumes.
+func (ws *workers) runSerial(fn func(w int, ctx *WorkerCtx)) {
+	for w := range ws.ctxs {
+		ctx := &ws.ctxs[w]
+		ctx.beginRegion(false)
+		start := time.Now()
+		fn(w, ctx)
+		ctx.Seconds = time.Since(start).Seconds()
+		ws.collect(w)
 	}
 }
 
-// Stats returns the accumulated statistics.
-func (s *Sequential) Stats() *Stats { return &s.stats }
-
-// Close is a no-op.
-func (s *Sequential) Close() {}
+// finish folds the collected scratch into stats (and extra, when non-nil)
+// and reports the region to the observer, if any.
+func (ws *workers) finish(kind Region, start time.Time, o RegionObserver, stats, extra *Stats) {
+	stats.record(kind, ws.ops, ws.times, ws.steals, ws.stolen)
+	if extra != nil {
+		extra.record(kind, ws.ops, ws.times, ws.steals, ws.stolen)
+	}
+	if o != nil {
+		o.ObserveRegion(kind, start, time.Since(start).Seconds(), ws.ctxs)
+	}
+}

@@ -40,7 +40,7 @@ func TestStatsImbalanceEdgeCases(t *testing.T) {
 		}
 	})
 	t.Run("single worker", func(t *testing.T) {
-		seq := NewSequential()
+		seq := sequential()
 		seq.Run(RegionNewview, func(w int, ctx *WorkerCtx) { ctx.Ops += 128 })
 		s := seq.Stats()
 		if got := s.WorkerImbalance(); got != 1 {
@@ -69,7 +69,7 @@ func TestMetricsCollectorFoldsRegions(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, exec := range map[string]Executor{
-		"sequential": NewSequential(),
+		"sequential": sequential(),
 		"pool":       pool,
 		"sim":        sim,
 	} {

@@ -55,8 +55,17 @@ func testExecutorBasics(t *testing.T, ex Executor, wantThreads int) {
 	}
 }
 
+// sequential returns the one-worker serial executor.
+func sequential() *Sim {
+	ex, err := NewSim(1)
+	if err != nil {
+		panic(err)
+	}
+	return ex
+}
+
 func TestSequentialExecutor(t *testing.T) {
-	ex := NewSequential()
+	ex := sequential()
 	defer ex.Close()
 	testExecutorBasics(t, ex, 1)
 }
@@ -72,6 +81,25 @@ func TestPoolExecutor(t *testing.T) {
 	}
 	if _, err := NewPool(0); err == nil {
 		t.Error("expected error for 0 threads")
+	}
+}
+
+// TestPoolRunAllocFree pins the allocation-free region dispatch: with a
+// pre-built region function, neither Pool.Run nor PoolSession.Run allocates.
+func TestPoolRunAllocFree(t *testing.T) {
+	p, err := NewPool(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	fn := func(w int, ctx *WorkerCtx) { ctx.Ops += float64(w + 1) }
+	if n := testing.AllocsPerRun(200, func() { p.Run(RegionNewview, fn) }); n != 0 {
+		t.Errorf("Pool.Run allocates %v allocs/op, want 0", n)
+	}
+	s := p.Session()
+	defer s.Close()
+	if n := testing.AllocsPerRun(200, func() { s.Run(RegionEvaluate, fn) }); n != 0 {
+		t.Errorf("PoolSession.Run allocates %v allocs/op, want 0", n)
 	}
 }
 

@@ -6,11 +6,15 @@ import (
 	"time"
 )
 
-// Pool is the real goroutine-based executor: T persistent workers receive
-// region closures over per-worker channels and signal completion through a
+// Pool is the real goroutine-based executor: T persistent workers are woken
+// per region over per-worker channels and signal completion through a
 // WaitGroup (the barrier). This mirrors RAxML's Pthreads master/worker
 // design, where the master generates traversal descriptors and the workers
 // execute them over their scheduled share of the alignment patterns.
+//
+// Dispatch is allocation-free: the master parks the region function in a
+// per-region slot and wakes each worker with an empty send, which orders the
+// slot write before the worker's read; no per-worker closure is built.
 //
 // A Pool can be shared by several concurrent sessions (see Session): regions
 // from different sessions are serialized by an internal mutex, so each
@@ -19,18 +23,15 @@ import (
 // kept by the session views; the pool itself accumulates the aggregate.
 type Pool struct {
 	threads int
-	cmds    []chan func()
+	wake    []chan struct{}
 	wg      sync.WaitGroup
-	ctxs    []WorkerCtx
-	ops     []float64 // master-side per-region op scratch
-	times   []float64 // master-side per-region wall-time scratch (seconds)
-	steals  []float64 // master-side per-region steal-count scratch
-	stolen  []float64 // master-side per-region stolen-pattern scratch
+	workers
 
-	runMu  sync.Mutex     // serializes regions across sessions
-	stats  Stats          // aggregate across all sessions (guarded by runMu)
-	obs    RegionObserver // region-completion observer (guarded by runMu)
-	closed bool           // guarded by runMu
+	runMu  sync.Mutex                  // serializes regions across sessions
+	fn     func(w int, ctx *WorkerCtx) // current region's function (set under runMu)
+	stats  Stats                       // aggregate across all sessions (guarded by runMu)
+	obs    RegionObserver              // region-completion observer (guarded by runMu)
+	closed bool                        // guarded by runMu
 }
 
 // NewPool starts a pool with the given worker count.
@@ -40,23 +41,28 @@ func NewPool(threads int) (*Pool, error) {
 	}
 	p := &Pool{
 		threads: threads,
-		cmds:    make([]chan func(), threads),
-		ctxs:    make([]WorkerCtx, threads),
-		ops:     make([]float64, threads),
-		times:   make([]float64, threads),
-		steals:  make([]float64, threads),
-		stolen:  make([]float64, threads),
+		wake:    make([]chan struct{}, threads),
+		workers: newWorkers(threads),
 	}
-	for w := 0; w < threads; w++ {
-		p.ctxs[w].Worker = w
-		p.cmds[w] = make(chan func(), 1)
-		go func(ch chan func()) {
-			for fn := range ch {
-				fn()
-			}
-		}(p.cmds[w])
+	for w := range p.wake {
+		p.wake[w] = make(chan struct{}, 1)
+		go p.worker(w, p.wake[w])
 	}
 	return p, nil
+}
+
+// worker is worker w's goroutine: per wake-up it runs the current region
+// function on its own WorkerCtx, timing the closure on the monotonic clock
+// and parking the duration in the padded ctx (no cross-worker cache-line
+// traffic), then arrives at the barrier. It exits when Close closes wake.
+func (p *Pool) worker(w int, wake chan struct{}) {
+	ctx := &p.ctxs[w]
+	for range wake {
+		start := time.Now()
+		p.fn(w, ctx)
+		ctx.Seconds = time.Since(start).Seconds()
+		p.wg.Done()
+	}
 }
 
 // Threads returns the worker count.
@@ -85,74 +91,32 @@ func (p *Pool) Run(kind Region, fn func(w int, ctx *WorkerCtx)) {
 }
 
 // run executes one region over the worker goroutines, recording into the
-// aggregate stats and, when non-nil, a session's private stats. Each worker
-// times its own closure on the monotonic clock and parks the duration in its
-// padded WorkerCtx (no cross-worker cache-line traffic); the master collects
-// the durations into the time scratch after the barrier, next to the op
-// scratch. The caller must hold runMu and have checked closed.
+// aggregate stats and, when non-nil, a session's private stats. The master
+// collects the workers' op counts and durations into the scratch after the
+// barrier. The caller must hold runMu and have checked closed.
 func (p *Pool) run(kind Region, fn func(w int, ctx *WorkerCtx), extra *Stats) {
-	regionStart := time.Now()
+	start := time.Now()
+	p.fn = fn
 	p.wg.Add(p.threads)
-	for w := 0; w < p.threads; w++ {
-		w := w
-		ctx := &p.ctxs[w]
-		ctx.beginRegion(true)
-		p.cmds[w] <- func() {
-			start := time.Now()
-			fn(w, ctx)
-			ctx.Seconds = time.Since(start).Seconds()
-			p.wg.Done()
-		}
+	for w, wake := range p.wake {
+		p.ctxs[w].beginRegion(true)
+		wake <- struct{}{}
 	}
 	p.wg.Wait()
-	// A worker whose assignment was empty for this region left Ops at the
-	// zero it was reset to above; it enters the statistics as exactly zero
-	// rather than being skipped, so idle workers show up in the imbalance.
-	// Seconds are taken net of in-region synchronization waits (Idle), so
-	// multi-step stealing regions report work time, not synchronized wall
-	// time.
-	for w := 0; w < p.threads; w++ {
-		p.ops[w] = p.ctxs[w].Ops
-		p.times[w] = p.ctxs[w].workSeconds()
-		p.steals[w] = p.ctxs[w].Steals
-		p.stolen[w] = p.ctxs[w].StolenPatterns
+	p.fn = nil
+	for w := range p.ctxs {
+		p.collect(w)
 	}
-	p.record(kind, extra)
-	if p.obs != nil {
-		p.obs.ObserveRegion(kind, regionStart, time.Since(regionStart).Seconds(), p.ctxs)
-	}
+	p.finish(kind, start, p.obs, &p.stats, extra)
 }
 
 // runDegraded executes one region with all T virtual workers serially on
-// the calling goroutine (identical numerics to run, like Sim). Each virtual
-// worker's serial execution is timed individually. The caller must hold
-// runMu.
+// the calling goroutine (identical numerics to run), exactly like Sim. The
+// caller must hold runMu.
 func (p *Pool) runDegraded(kind Region, fn func(w int, ctx *WorkerCtx), extra *Stats) {
-	regionStart := time.Now()
-	for w := 0; w < p.threads; w++ {
-		ctx := &p.ctxs[w]
-		ctx.beginRegion(false)
-		start := time.Now()
-		fn(w, ctx)
-		ctx.Seconds = time.Since(start).Seconds()
-		p.ops[w] = ctx.Ops
-		p.times[w] = ctx.workSeconds()
-		p.steals[w] = ctx.Steals
-		p.stolen[w] = ctx.StolenPatterns
-	}
-	p.record(kind, extra)
-	if p.obs != nil {
-		p.obs.ObserveRegion(kind, regionStart, time.Since(regionStart).Seconds(), p.ctxs)
-	}
-}
-
-// record folds the per-worker op and time scratch into the aggregate (and
-// optional session) statistics. The caller must hold runMu.
-func (p *Pool) record(kind Region, extra *Stats) {
-	p.stats.record(kind, p.ops, p.times, p.steals, p.stolen)
-	if extra != nil {
-		extra.record(kind, p.ops, p.times, p.steals, p.stolen)
-	}
+	start := time.Now()
+	p.runSerial(fn)
+	p.finish(kind, start, p.obs, &p.stats, extra)
 }
 
 // Stats returns the aggregate instrumentation across every session that ran
@@ -170,8 +134,8 @@ func (p *Pool) Close() {
 		return
 	}
 	p.closed = true
-	for _, ch := range p.cmds {
-		close(ch)
+	for _, wake := range p.wake {
+		close(wake)
 	}
 }
 

@@ -13,13 +13,9 @@ import "time"
 // Platform.EvalSeconds.
 type Sim struct {
 	threads int
-	ctxs    []WorkerCtx
-	ops     []float64 // per-region op scratch
-	times   []float64 // per-region wall-time scratch (seconds)
-	steals  []float64 // per-region steal-count scratch
-	stolen  []float64 // per-region stolen-pattern scratch
-	stats   Stats
-	obs     RegionObserver
+	workers
+	stats Stats
+	obs   RegionObserver
 }
 
 // NewSim returns a virtual executor with T workers.
@@ -27,18 +23,7 @@ func NewSim(threads int) (*Sim, error) {
 	if threads < 1 {
 		return nil, errBadThreads(threads)
 	}
-	s := &Sim{
-		threads: threads,
-		ctxs:    make([]WorkerCtx, threads),
-		ops:     make([]float64, threads),
-		times:   make([]float64, threads),
-		steals:  make([]float64, threads),
-		stolen:  make([]float64, threads),
-	}
-	for w := range s.ctxs {
-		s.ctxs[w].Worker = w
-	}
-	return s, nil
+	return &Sim{threads: threads, workers: newWorkers(threads)}, nil
 }
 
 func errBadThreads(t int) error {
@@ -67,22 +52,9 @@ func (s *Sim) SetObserver(o RegionObserver) { s.obs = o }
 // share's real cost on this host — the feedback the measured schedule
 // strategy consumes.
 func (s *Sim) Run(kind Region, fn func(w int, ctx *WorkerCtx)) {
-	regionStart := time.Now()
-	for w := 0; w < s.threads; w++ {
-		ctx := &s.ctxs[w]
-		ctx.beginRegion(false)
-		start := time.Now()
-		fn(w, ctx)
-		ctx.Seconds = time.Since(start).Seconds()
-		s.times[w] = ctx.workSeconds()
-		s.ops[w] = ctx.Ops
-		s.steals[w] = ctx.Steals
-		s.stolen[w] = ctx.StolenPatterns
-	}
-	s.stats.record(kind, s.ops, s.times, s.steals, s.stolen)
-	if s.obs != nil {
-		s.obs.ObserveRegion(kind, regionStart, time.Since(regionStart).Seconds(), s.ctxs)
-	}
+	start := time.Now()
+	s.runSerial(fn)
+	s.finish(kind, start, s.obs, &s.stats, nil)
 }
 
 // Stats returns accumulated instrumentation.

@@ -99,7 +99,7 @@ func buildSearch(t *testing.T, nTaxa, nSites int, strategy opt.Strategy, exec pa
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := core.New(d, start, []*model.Model{m}, exec, core.Options{Specialize: true})
+	eng, err := newEngine(d, start, []*model.Model{m}, exec, core.Options{Specialize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func buildSearch(t *testing.T, nTaxa, nSites int, strategy opt.Strategy, exec pa
 }
 
 func TestSearchImprovesLikelihood(t *testing.T) {
-	s, eng, _ := buildSearch(t, 10, 200, opt.NewPar, parallel.NewSequential(), 5, 99)
+	s, eng, _ := buildSearch(t, 10, 200, opt.NewPar, sequential(), 5, 99)
 	before := eng.LogLikelihood()
 	res, _ := s.Run(context.Background())
 	if res.LnL < before {
@@ -139,14 +139,14 @@ func TestSearchRecoversGeneratingTreeScore(t *testing.T) {
 
 	// Score the generating tree (with optimized branch lengths).
 	genCopy, _ := tree.ParseNewick(tree.WriteNewick(gen, 0), taxaNames(8), 1)
-	engTrue, err := core.New(d, genCopy, []*model.Model{m}, parallel.NewSequential(), core.Options{Specialize: true})
+	engTrue, err := newEngine(d, genCopy, []*model.Model{m}, sequential(), core.Options{Specialize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	trueLnL := opt.New(engTrue, opt.DefaultConfig(opt.NewPar)).SmoothAll(context.Background())
 
 	start, _ := tree.Random(taxaNames(8), 1, tree.RandomOptions{Seed: 1234})
-	eng, err := core.New(d, start, []*model.Model{m.Clone()}, parallel.NewSequential(), core.Options{Specialize: true})
+	eng, err := newEngine(d, start, []*model.Model{m.Clone()}, sequential(), core.Options{Specialize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,8 +160,8 @@ func TestSearchRecoversGeneratingTreeScore(t *testing.T) {
 }
 
 func TestSearchDeterministic(t *testing.T) {
-	s1, _, tr1 := buildSearch(t, 9, 150, opt.NewPar, parallel.NewSequential(), 3, 42)
-	s2, _, tr2 := buildSearch(t, 9, 150, opt.NewPar, parallel.NewSequential(), 3, 42)
+	s1, _, tr1 := buildSearch(t, 9, 150, opt.NewPar, sequential(), 3, 42)
+	s2, _, tr2 := buildSearch(t, 9, 150, opt.NewPar, sequential(), 3, 42)
 	r1, _ := s1.Run(context.Background())
 	r2, _ := s2.Run(context.Background())
 	if r1.LnL != r2.LnL || r1.MovesApplied != r2.MovesApplied {
@@ -173,8 +173,8 @@ func TestSearchDeterministic(t *testing.T) {
 }
 
 func TestSearchStrategiesFindSameTree(t *testing.T) {
-	sOld, _, trOld := buildSearch(t, 9, 150, opt.OldPar, parallel.NewSequential(), 11, 52)
-	sNew, _, trNew := buildSearch(t, 9, 150, opt.NewPar, parallel.NewSequential(), 11, 52)
+	sOld, _, trOld := buildSearch(t, 9, 150, opt.OldPar, sequential(), 11, 52)
+	sNew, _, trNew := buildSearch(t, 9, 150, opt.NewPar, sequential(), 11, 52)
 	rOld, _ := sOld.Run(context.Background())
 	rNew, _ := sNew.Run(context.Background())
 	// Same optima within optimizer tolerance; trees should agree given the
@@ -193,7 +193,7 @@ func TestSearchParallelMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	sSeq, _, _ := buildSearch(t, 8, 120, opt.NewPar, parallel.NewSequential(), 21, 63)
+	sSeq, _, _ := buildSearch(t, 8, 120, opt.NewPar, sequential(), 21, 63)
 	sPar, _, _ := buildSearch(t, 8, 120, opt.NewPar, pool, 21, 63)
 	rSeq, _ := sSeq.Run(context.Background())
 	rPar, _ := sPar.Run(context.Background())
@@ -206,7 +206,7 @@ func TestSearchParallelMatchesSequential(t *testing.T) {
 }
 
 func TestSearchPreservesTreeValidity(t *testing.T) {
-	s, eng, tr := buildSearch(t, 10, 100, opt.NewPar, parallel.NewSequential(), 31, 74)
+	s, eng, tr := buildSearch(t, 10, 100, opt.NewPar, sequential(), 31, 74)
 	s.Run(context.Background())
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("tree invalid after search: %v", err)
@@ -237,7 +237,7 @@ func TestSearchPartitionedPerPartitionBL(t *testing.T) {
 		models[i], _ = model.GTR(nil, nil, 4, 0.8)
 	}
 	start, _ := tree.Random(taxaNames(8), len(d.Parts), tree.RandomOptions{Seed: 17})
-	eng, err := core.New(d, start, models, parallel.NewSequential(), core.Options{Specialize: true})
+	eng, err := newEngine(d, start, models, sequential(), core.Options{Specialize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestSearchPartitionedPerPartitionBL(t *testing.T) {
 // context error and a consistent tree whose score matches the reported
 // partial result exactly.
 func TestSearchCancellation(t *testing.T) {
-	s, eng, _ := buildSearch(t, 10, 300, opt.NewPar, parallel.NewSequential(), 47, 48)
+	s, eng, _ := buildSearch(t, 10, 300, opt.NewPar, sequential(), 47, 48)
 	s.Cfg.MaxRounds = 50
 	s.Cfg.Epsilon = -1 // never converge: only cancellation can stop it
 	ctx, cancel := context.WithCancel(context.Background())
@@ -283,4 +283,22 @@ func TestSearchCancellation(t *testing.T) {
 	if got := eng.LogLikelihood(); got != res.LnL {
 		t.Errorf("tree score %v != reported partial %v", got, res.LnL)
 	}
+}
+
+// sequential returns the one-worker serial executor.
+func sequential() *parallel.Sim {
+	ex, err := parallel.NewSim(1)
+	if err != nil {
+		panic(err)
+	}
+	return ex
+}
+
+// newEngine opens a kernel session over its own freshly computed Shared.
+func newEngine(d *alignment.CompressedData, tr *tree.Tree, models []*model.Model, exec parallel.Executor, opts core.Options) (*core.Engine, error) {
+	sh, err := core.NewSharedWith(d, models[0].NumCats, exec.Threads(), opts.Backend)
+	if err != nil {
+		return nil, err
+	}
+	return core.NewSession(sh, tr, models, exec, opts)
 }

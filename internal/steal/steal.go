@@ -20,13 +20,18 @@
 // end up executing which chunks, stealing on or off, pool or serial executor
 // (see the determinism argument in DESIGN.md).
 //
-// Serial executors (Sim, Sequential, a degraded pool session) run their T
-// virtual workers one after another on a single goroutine; there a worker
-// never waits at a barrier, so there is no tail latency to absorb, and
-// "stealing" would just mean virtual worker 0 swallowing work that virtual
-// worker w > 0 was never going to idle over. Serial mode therefore hands
-// every worker exactly its own chunks — which, by the fixed-order reduction,
-// produces bit-identical results to a concurrent run with stealing.
+// With thieving off the runtime never touches a deque: every worker walks
+// its own loaded chunk list through a private cursor — no arming, no CAS, no
+// step barrier, and no deques allocated at all. That is the static layout's
+// execution model (one chunk per schedule run, see the engine), and it needs
+// no barrier between traversal steps because each owner reads at step s+1
+// only the patterns it wrote itself at step s. Serial executors (Sim, a
+// degraded pool session) take the same cursor path even with thieving on:
+// they run their T virtual workers one after another on a single goroutine,
+// where no worker waits at a barrier, and "stealing" would just mean virtual
+// worker 0 swallowing work that virtual worker w > 0 was never going to idle
+// over. By the fixed-order reduction, the cursor path produces bit-identical
+// results to a concurrent run with stealing.
 package steal
 
 import (
@@ -181,27 +186,37 @@ func (d *deque) addRemaining(x float64) {
 	}
 }
 
-// Runtime is the per-session stealing state: one deque per worker over the
-// current layout, the per-step re-arm barrier, and the load/quiesce
-// lifecycle. A Runtime belongs to exactly one session engine; the master
-// (session goroutine) calls Load before issuing a region and Finish after
-// its barrier, workers call Next/NextStep from inside the region closure.
+// Runtime is the per-session chunk-distribution state: the current layout,
+// the per-worker chunk lists and cursors, and — once a region runs with
+// thieving on — one deque per worker plus the per-step re-arm barrier. A
+// Runtime belongs to exactly one session engine; the master (session
+// goroutine) calls Load before issuing a region and Finish after its
+// barrier, workers call Next/NextStep from inside the region closure.
 type Runtime struct {
 	layout *Layout
-	deques []deque
+	deques []deque          // nil until a region is loaded with thieving on
 	arrs   [][]atomic.Int32 // per worker: deque backing array (chunk ids)
 
 	// loaded is the per-worker chunk-id list of the current region (the
 	// layout's per-owner ids filtered by the region's active-span mask),
-	// ascending; deques are armed from it, and serial workers iterate it
-	// directly through cursors.
-	loaded    [][]int32
-	serialCur []int
+	// ascending; deques are armed from it, and the cursor path iterates it
+	// directly.
+	loaded  [][]int32
+	cursors []cursor
 
 	barrier  stepBarrier
 	stealing atomic.Bool
+	armed    bool // the loaded region runs on the deques (thieving on at Load)
 	inRegion atomic.Bool
 	steps    atomic.Int64 // NextStep barrier passages (observability)
+}
+
+// cursor is one worker's position in its loaded chunk list, padded like
+// deque: on a concurrent executor with thieving off every worker advances
+// its own cursor at once.
+type cursor struct {
+	next int
+	_    [120]byte
 }
 
 // NewRuntime builds the stealing runtime for a layout with thieving enabled.
@@ -215,18 +230,19 @@ func NewRuntime(l *Layout) *Runtime {
 // Layout returns the currently installed chunk layout.
 func (rt *Runtime) Layout() *Layout { return rt.layout }
 
-// SetStealing toggles thieving. With stealing off, the chunked execution
-// path is unchanged — workers still drain their own deques chunk by chunk and
-// reductions still run in fixed chunk order — so results are bit-for-bit
-// identical either way; only idle workers stop absorbing others' backlogs.
-// Must not be called while a region is in flight.
+// SetStealing toggles thieving. With stealing off, workers walk their own
+// chunk lists through private cursors instead of the deques, and reductions
+// still run in fixed chunk order, so results are bit-for-bit identical
+// either way; only idle workers stop absorbing others' backlogs. Must not be
+// called while a region is in flight.
 func (rt *Runtime) SetStealing(on bool) { rt.stealing.Store(on) }
 
 // Stealing reports whether thieving is enabled.
 func (rt *Runtime) Stealing() bool { return rt.stealing.Load() }
 
 // Steps reports how many intra-region step re-arms the runtime has performed
-// (concurrent executors only); a traversal of n steps contributes n-1.
+// (thieving regions on concurrent executors only); a traversal of n steps
+// contributes n-1.
 func (rt *Runtime) Steps() int64 { return rt.steps.Load() }
 
 // maxStealBatch caps one steal's chunk count (and thereby the only way a
@@ -237,14 +253,27 @@ const maxStealBatch = 256
 
 // Install quiesces the runtime and swaps in a new chunk layout (built from a
 // rebuilt schedule). The caller must be between regions; Quiesce enforces it.
+// The deques of the old layout are dropped; the next thieving Load builds
+// them for the new one.
 func (rt *Runtime) Install(l *Layout) {
 	rt.Quiesce()
 	rt.layout = l
 	t := l.threads
+	rt.deques, rt.arrs = nil, nil
+	rt.loaded = make([][]int32, t)
+	rt.cursors = make([]cursor, t)
+	for w := 0; w < t; w++ {
+		rt.loaded[w] = make([]int32, 0, len(l.byWorker[w]))
+	}
+}
+
+// allocDeques builds the per-worker deques and the step barrier for the
+// installed layout.
+func (rt *Runtime) allocDeques() {
+	l := rt.layout
+	t := l.threads
 	rt.deques = make([]deque, t)
 	rt.arrs = make([][]atomic.Int32, t)
-	rt.loaded = make([][]int32, t)
-	rt.serialCur = make([]int, t)
 	for w := 0; w < t; w++ {
 		// A deque holds at most its own scheduled chunks (armWorker) or one
 		// steal batch (stealHalf publishes into an empty deque), whichever
@@ -257,7 +286,6 @@ func (rt *Runtime) Install(l *Layout) {
 			capacity = n
 		}
 		rt.arrs[w] = make([]atomic.Int32, capacity)
-		rt.loaded[w] = make([]int32, 0, len(l.byWorker[w]))
 	}
 	rt.barrier.init(t)
 }
@@ -274,11 +302,11 @@ func (rt *Runtime) Quiesce() {
 	}
 }
 
-// Load arms the runtime for one region: every worker's deque receives its
-// layout chunks whose span is active (nil mask = all spans), serial cursors
-// rewind, and the step barrier resets. Called by the master immediately
-// before Executor.Run; the executor's fan-out orders it before every
-// worker's first Next.
+// Load arms the runtime for one region: every worker's chunk list receives
+// its layout chunks whose span is active (nil mask = all spans), the cursors
+// rewind, and with thieving on the deques are armed from the lists. Called
+// by the master immediately before Executor.Run; the executor's fan-out
+// orders it before every worker's first Next.
 func (rt *Runtime) Load(active []bool) {
 	if rt.inRegion.Swap(true) {
 		panic("steal: Load while a region is in flight")
@@ -291,22 +319,28 @@ func (rt *Runtime) Load(active []bool) {
 			}
 		}
 		rt.loaded[w] = ids
+		rt.cursors[w].next = 0
 	}
-	rt.armAll()
+	rt.armed = rt.stealing.Load()
+	if rt.armed {
+		if rt.deques == nil {
+			rt.allocDeques()
+		}
+		rt.armAll()
+	}
 }
 
 // Finish marks the region done. Called by the master after Executor.Run
 // returns (the region barrier orders every worker's last Next before it).
 func (rt *Runtime) Finish() { rt.inRegion.Store(false) }
 
-// armAll re-arms every deque with its loaded chunk list and rewinds the
-// serial cursors. Callers must guarantee no concurrent deque traffic: Load
-// runs before the region fans out, and the step barrier's last arriver runs
-// it while every other worker is blocked in the barrier.
+// armAll re-arms every deque with its loaded chunk list. Callers must
+// guarantee no concurrent deque traffic: Load runs before the region fans
+// out, and the step barrier's last arriver runs it while every other worker
+// is blocked in the barrier.
 func (rt *Runtime) armAll() {
 	for w := range rt.deques {
 		rt.armWorker(w)
-		rt.serialCur[w] = 0
 	}
 }
 
@@ -329,18 +363,18 @@ func (rt *Runtime) armWorker(w int) {
 }
 
 // NextStep is the intra-region step boundary for multi-step (traversal)
-// regions. On concurrent executors every worker must call it between steps:
-// it is a full barrier across the T workers — step s+1 reads CLVs that step
-// s wrote, and with stealing a pattern's step-s writer need not be its
-// step-s+1 reader, so the barrier is what makes the handoff safe — and the
-// last worker to arrive re-arms all deques to the scheduled assignment
-// before releasing the others. On serial executors it just rewinds the
-// calling worker's cursor (virtual workers run one after another; worker w's
-// whole step sequence completes before w+1 starts, and CLV reads stay safe
-// because serial workers only process their own scheduled patterns).
+// regions; every worker must call it between steps. In a thieving region on
+// a concurrent executor it is a full barrier across the T workers — step
+// s+1 reads CLVs that step s wrote, and with stealing a pattern's step-s
+// writer need not be its step-s+1 reader, so the barrier is what makes the
+// handoff safe — and the last worker to arrive re-arms all deques to the
+// scheduled assignment before releasing the others. On the cursor path it
+// just rewinds the calling worker's cursor: every worker processes only its
+// own scheduled patterns, so the patterns it reads at step s+1 are exactly
+// the ones it wrote at step s, and no other worker's progress matters.
 func (rt *Runtime) NextStep(w int, ctx *parallel.WorkerCtx) {
-	if !ctx.Concurrent {
-		rt.serialCur[w] = 0
+	if !ctx.Concurrent || !rt.armed {
+		rt.cursors[w].next = 0
 		return
 	}
 	// Barrier wait is synchronization, not work: it accrues to ctx.Idle so
@@ -356,10 +390,11 @@ func (rt *Runtime) NextStep(w int, ctx *parallel.WorkerCtx) {
 }
 
 // Next hands worker w its next chunk id, or -1 when no work remains
-// anywhere. Owners pop LIFO from the bottom of their own deque; a worker
-// whose deque has drained (and with stealing enabled, on a concurrent
-// executor) picks the victim with the highest remaining-cost estimate and
-// steals the top half of its window — the largest remaining half, both in
+// anywhere. With thieving off, or on a serial executor, it walks w's own
+// loaded chunks in ascending order. Otherwise owners pop LIFO from the
+// bottom of their own deque; a worker whose deque has drained picks the
+// victim with the highest remaining-cost estimate and steals the top half
+// of its window — the largest remaining half, both in
 // the chosen victim and in taking ceil(n/2) of its chunks. Steal operations
 // are recorded into ctx.Steals; ctx.StolenPatterns counts the patterns of
 // every chunk *executed* away from its scheduled owner — once per
@@ -369,13 +404,14 @@ func (rt *Runtime) NextStep(w int, ctx *parallel.WorkerCtx) {
 //
 //plk:hotpath
 func (rt *Runtime) Next(w int, ctx *parallel.WorkerCtx) int {
-	if !ctx.Concurrent {
+	if !ctx.Concurrent || !rt.armed {
 		ids := rt.loaded[w]
-		if rt.serialCur[w] >= len(ids) {
+		cur := &rt.cursors[w]
+		if cur.next >= len(ids) {
 			return -1
 		}
-		id := ids[rt.serialCur[w]]
-		rt.serialCur[w]++
+		id := ids[cur.next]
+		cur.next++
 		return int(id)
 	}
 	for {
@@ -384,9 +420,6 @@ func (rt *Runtime) Next(w int, ctx *parallel.WorkerCtx) int {
 				ctx.StolenPatterns += float64(c.Patterns())
 			}
 			return id
-		}
-		if !rt.stealing.Load() {
-			return -1
 		}
 		if !rt.stealHalf(w, ctx) {
 			return -1

@@ -28,7 +28,7 @@ func TestReadPhylipAndAnalyze(t *testing.T) {
 	if al.NumTaxa() != 6 || al.NumSites() != 40 || al.NumPartitions() != 1 {
 		t.Fatalf("shape: %d taxa %d sites %d parts", al.NumTaxa(), al.NumSites(), al.NumPartitions())
 	}
-	an, err := NewAnalysis(al, Options{})
+	an, err := openAnalysis(t, al, DatasetOptions{}, AnalysisOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestPartitionedAnalysisStrategies(t *testing.T) {
 		if err := al.SetUniformPartitions(DNA, 20); err != nil {
 			t.Fatal(err)
 		}
-		an, err := NewAnalysis(al, Options{
+		an, err := openAnalysis(t, al, DatasetOptions{}, AnalysisOptions{
 			Strategy:                  strat,
 			PerPartitionBranchLengths: true,
 			Seed:                      7,
@@ -94,9 +94,7 @@ func TestPartitionedAnalysisStrategies(t *testing.T) {
 func TestVirtualThreadsAndPlatformPricing(t *testing.T) {
 	al, _ := ReadPhylip(strings.NewReader(tinyPhylip))
 	al.SetUniformPartitions(DNA, 10)
-	an, err := NewAnalysis(al, Options{
-		Threads:                   8,
-		VirtualThreads:            true,
+	an, err := openAnalysis(t, al, DatasetOptions{Threads: 8, VirtualThreads: true}, AnalysisOptions{
 		PerPartitionBranchLengths: true,
 		Strategy:                  NewPar,
 	})
@@ -123,7 +121,7 @@ func TestSearchViaFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	an, err := NewAnalysis(al, Options{Strategy: NewPar, Seed: 11})
+	an, err := openAnalysis(t, al, DatasetOptions{}, AnalysisOptions{Strategy: NewPar, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +180,7 @@ func TestPartitionFileRoundTripFacade(t *testing.T) {
 func TestStartTreeNewickRespected(t *testing.T) {
 	al, _ := ReadPhylip(strings.NewReader(tinyPhylip))
 	fixed := "(t0:0.1,t1:0.1,(t2:0.1,(t3:0.1,(t4:0.1,t5:0.1):0.1):0.1):0.1);"
-	an, err := NewAnalysis(al, Options{StartTreeNewick: fixed})
+	an, err := openAnalysis(t, al, DatasetOptions{}, AnalysisOptions{StartTreeNewick: fixed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,12 +188,24 @@ func TestStartTreeNewickRespected(t *testing.T) {
 	if got := an.TreeNewick(); !strings.Contains(got, "t5") {
 		t.Errorf("tree lost taxa: %s", got)
 	}
-	if _, err := NewAnalysis(al, Options{StartTreeNewick: "((bad));"}); err == nil {
+	if _, err := openAnalysis(t, al, DatasetOptions{}, AnalysisOptions{StartTreeNewick: "((bad));"}); err == nil {
 		t.Error("expected error for bad newick")
 	}
-	if _, err := NewAnalysis(nil, Options{}); err == nil {
+	if _, err := openAnalysis(t, nil, DatasetOptions{}, AnalysisOptions{}); err == nil {
 		t.Error("expected error for nil alignment")
 	}
+}
+
+// openAnalysis builds a Dataset and opens one session over it; the test's
+// cleanup closes the dataset (after any deferred session Close).
+func openAnalysis(t *testing.T, al *Alignment, dso DatasetOptions, ao AnalysisOptions) (*Analysis, error) {
+	t.Helper()
+	ds, err := NewDataset(al, dso)
+	if err != nil {
+		return nil, err
+	}
+	t.Cleanup(func() { ds.Close() })
+	return ds.NewAnalysis(ao)
 }
 
 func TestRobinsonFouldsFacade(t *testing.T) {
@@ -421,16 +431,24 @@ func TestCloseSemantics(t *testing.T) {
 	}
 	an2.Close()
 
-	// The legacy shim owns its dataset: closing the analysis closes both.
-	an3, err := NewAnalysis(al, Options{Threads: 2})
+	// Closing a session is idempotent, and a dataset whose only session
+	// closed shuts down cleanly.
+	ds3, err := NewDataset(al, DatasetOptions{Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	an3, err := ds3.NewAnalysis(AnalysisOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := an3.Close(); err != nil {
-		t.Fatalf("legacy close: %v", err)
+		t.Fatalf("close: %v", err)
 	}
 	if err := an3.Close(); err != nil {
-		t.Fatalf("legacy double close: %v", err)
+		t.Fatalf("double close: %v", err)
+	}
+	if err := ds3.Close(); err != nil {
+		t.Fatalf("dataset close after its session closed: %v", err)
 	}
 }
 
