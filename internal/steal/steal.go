@@ -219,7 +219,9 @@ type cursor struct {
 	_    [120]byte
 }
 
-// NewRuntime builds the stealing runtime for a layout with thieving enabled.
+// NewRuntime builds the runtime for a layout with thieving enabled. Deques
+// are allocated by the first Load with thieving on, so a runtime switched
+// off with SetStealing(false) before its first region never allocates them.
 func NewRuntime(l *Layout) *Runtime {
 	rt := &Runtime{}
 	rt.stealing.Store(true)

@@ -159,48 +159,64 @@ func TestActiveMaskFiltersSpans(t *testing.T) {
 	verifyExactCover(t, l, spans, active, perStep[0])
 }
 
-// TestSerialModeHandsOutOwnChunksOnly checks the serial executor contract:
-// virtual workers receive exactly their scheduled chunks, in ascending
-// order, never steal, and NextStep rewinds per worker.
+// TestSerialModeHandsOutOwnChunksOnly checks the cursor-path contract, for
+// serial executors and for concurrent ones with thieving off (the static
+// layout): workers receive exactly their scheduled chunks, in ascending
+// order, never steal, and NextStep rewinds per worker without a barrier —
+// the workers here run one after another on one goroutine, so a barrier
+// would deadlock. With thieving off no deques are allocated at all.
 func TestSerialModeHandsOutOwnChunksOnly(t *testing.T) {
 	spans := randomSpans(7)
 	s, err := schedule.New(schedule.Weighted, 4, spans)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := NewLayout(s, 16)
-	rt := NewRuntime(l)
-	rt.Load(nil)
-	defer rt.Finish()
-	for step := 0; step < 2; step++ {
-		for w := 0; w < 4; w++ { // serial executors run workers one after another
-			ctx := parallel.WorkerCtx{Worker: w, Concurrent: false}
-			if step > 0 {
-				rt.NextStep(w, &ctx)
-			}
-			prev := -1
-			count := 0
-			for {
-				id := rt.Next(w, &ctx)
-				if id < 0 {
-					break
+	for _, mode := range []struct {
+		name       string
+		concurrent bool
+		stealing   bool
+	}{
+		{"serial", false, true},
+		{"concurrent-static", true, false},
+	} {
+		l := NewLayout(s, 16)
+		rt := NewRuntime(l)
+		rt.SetStealing(mode.stealing)
+		rt.Load(nil)
+		if !mode.stealing && rt.deques != nil {
+			t.Fatalf("%s: thieving off but deques allocated", mode.name)
+		}
+		for step := 0; step < 2; step++ {
+			for w := 0; w < 4; w++ { // workers run one after another
+				ctx := parallel.WorkerCtx{Worker: w, Concurrent: mode.concurrent}
+				if step > 0 {
+					rt.NextStep(w, &ctx)
 				}
-				if c := l.Chunk(id); c.Owner != w {
-					t.Fatalf("serial worker %d received chunk %d owned by %d", w, id, c.Owner)
+				prev := -1
+				count := 0
+				for {
+					id := rt.Next(w, &ctx)
+					if id < 0 {
+						break
+					}
+					if c := l.Chunk(id); c.Owner != w {
+						t.Fatalf("%s worker %d received chunk %d owned by %d", mode.name, w, id, c.Owner)
+					}
+					if id <= prev {
+						t.Fatalf("%s worker %d ids not ascending: %d after %d", mode.name, w, id, prev)
+					}
+					prev = id
+					count++
 				}
-				if id <= prev {
-					t.Fatalf("serial worker %d ids not ascending: %d after %d", w, id, prev)
+				if want := len(l.byWorker[w]); count != want {
+					t.Fatalf("%s worker %d drained %d chunks, want %d", mode.name, w, count, want)
 				}
-				prev = id
-				count++
-			}
-			if want := len(l.byWorker[w]); count != want {
-				t.Fatalf("serial worker %d drained %d chunks, want %d", w, count, want)
-			}
-			if ctx.Steals != 0 || ctx.StolenPatterns != 0 {
-				t.Fatalf("serial worker %d recorded steals %v/%v", w, ctx.Steals, ctx.StolenPatterns)
+				if ctx.Steals != 0 || ctx.StolenPatterns != 0 {
+					t.Fatalf("%s worker %d recorded steals %v/%v", mode.name, w, ctx.Steals, ctx.StolenPatterns)
+				}
 			}
 		}
+		rt.Finish()
 	}
 }
 
