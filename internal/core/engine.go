@@ -357,10 +357,11 @@ func (e *Engine) Schedule() *schedule.Schedule { return e.sched }
 // A schedule swap also rebuilds the chunk layout, and ordering matters: the
 // chunk runtime is quiesced (Install panics on an in-flight region) before
 // the rebuilt layout is installed, so workers can never hold chunk ids from
-// one layout while the engine reduces partials sized for another. Rebalances and regions are both issued from the session
-// goroutine, which makes the quiesce a cheap invariant check rather than a
-// wait — the regression test runs adaptive rebalancing and stealing
-// concurrently under the race detector to keep it that way.
+// one layout while the engine reduces partials sized for another.
+// Rebalances and regions are both issued from the session goroutine, which
+// makes the quiesce a cheap invariant check rather than a wait — the
+// regression test runs adaptive rebalancing and stealing concurrently under
+// the race detector to keep it that way.
 func (e *Engine) refreshSchedule() {
 	sched, version := e.holder.Current()
 	if version != e.schedVersion {
