@@ -128,9 +128,10 @@ type Analysis struct {
 }
 
 // NewAnalysis opens a new analysis session: it clones the dataset's model
-// templates, builds the starting tree, allocates the session's likelihood
-// buffers, and attaches to the shared worker pool (or creates a private
-// virtual/sequential executor). Sessions over one Dataset may run
+// templates, builds the starting tree, takes the session's likelihood
+// buffers from the dataset (reusing a closed session's set, allocating only
+// when none is free), and attaches to the shared worker pool (or creates a
+// private virtual/sequential executor). Sessions over one Dataset may run
 // concurrently; with identical options they produce bit-identical results.
 func (ds *Dataset) NewAnalysis(o AnalysisOptions) (*Analysis, error) {
 	ds.mu.Lock()
@@ -215,9 +216,14 @@ func (ds *Dataset) newAnalysis(o AnalysisOptions) (*Analysis, error) {
 }
 
 // Close releases the session's executor (its view of the shared pool; the
-// pool itself stays up for other sessions). It is idempotent; every method
-// called afterwards returns ErrAnalysisClosed (or NaN where the signature
-// has no error).
+// pool itself stays up for other sessions) and recycles its likelihood
+// buffers: the CLVs, scaling vectors, sumtable and per-worker scratch go
+// back to the Dataset, and the next NewAnalysis on it reuses them instead of
+// allocating. It is idempotent; every method called afterwards returns
+// ErrAnalysisClosed (or NaN where the signature has no error). Like every
+// Analysis method, Close must not run concurrently with another method of
+// the same session: a method still running would compute in buffers another
+// session may already have drawn.
 func (an *Analysis) Close() error {
 	an.mu.Lock()
 	if an.closed {
@@ -227,6 +233,7 @@ func (an *Analysis) Close() error {
 	an.closed = true
 	an.mu.Unlock()
 	an.exec.Close()
+	an.eng.Release()
 	an.ds.release()
 	return nil
 }

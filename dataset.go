@@ -111,7 +111,8 @@ type Dataset struct {
 // for protein), precomputes the likelihood memory layout and the
 // pattern-to-worker schedule, and starts the shared worker pool. This is all
 // of the fixed per-dataset work; opening an additional Analysis session
-// afterwards only allocates that session's mutable state.
+// afterwards only sets up that session's mutable state, and reuses the
+// likelihood buffers of sessions already closed.
 func NewDataset(al *Alignment, o DatasetOptions) (*Dataset, error) {
 	if al == nil {
 		return nil, errors.New("phylo: nil alignment")

@@ -362,6 +362,8 @@ func TestReadPhylipMultiline(t *testing.T) {
 	for _, bad := range []string{
 		"", "x y\n", "2 4\nt1 ACGT\n", "3 4\nt1 ACGT\nt2 AC\nt3 ACGT\n",
 		"3 2\nt1 AC\nt2 AC\nt3 AC\nGG\n",
+		// Absurd header counts must fail on the data, not on allocation.
+		"1000000000\f40", "1 100000000000000\na A\n",
 	} {
 		if _, err := ReadPhylip(strings.NewReader(bad)); err == nil {
 			t.Errorf("expected error for %q", bad)
@@ -380,6 +382,11 @@ func TestReadFasta(t *testing.T) {
 	}
 	if _, err := ReadFasta(strings.NewReader("ACGT\n>t1\nACGT\n")); err == nil {
 		t.Error("expected error for data before header")
+	}
+	for _, bad := range []string{">", "> \nACGT\n", ">t1\nACGT\n>\nACGT\n"} {
+		if _, err := ReadFasta(strings.NewReader(bad)); err == nil {
+			t.Errorf("expected error for empty header in %q", bad)
+		}
 	}
 }
 

@@ -27,8 +27,11 @@ func ReadPhylip(r io.Reader) (*Alignment, error) {
 	if err1 != nil || err2 != nil || ntax <= 0 || nsites <= 0 {
 		return nil, fmt.Errorf("phylip: bad header %q", sc.Text())
 	}
-	names := make([]string, 0, ntax)
-	seqs := make([][]byte, 0, ntax)
+	// The header's counts are claims, not sizes: every buffer grows from the
+	// bytes actually read, so a header like "1000000000 40" fails with a
+	// count mismatch instead of reserving gigabytes up front.
+	var names []string
+	var seqs [][]byte
 	cur := -1
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -39,7 +42,7 @@ func ReadPhylip(r io.Reader) (*Alignment, error) {
 			// New taxon record: first token is the name.
 			fs := strings.Fields(line)
 			names = append(names, fs[0])
-			seq := make([]byte, 0, nsites)
+			seq := make([]byte, 0, min(nsites, len(line)))
 			for _, f := range fs[1:] {
 				seq = append(seq, []byte(f)...)
 			}
@@ -107,7 +110,11 @@ func ReadFasta(r io.Reader) (*Alignment, error) {
 			continue
 		}
 		if strings.HasPrefix(line, ">") {
-			names = append(names, strings.Fields(line[1:])[0])
+			fs := strings.Fields(line[1:])
+			if len(fs) == 0 {
+				return nil, fmt.Errorf("fasta: empty header line")
+			}
+			names = append(names, fs[0])
 			seqs = append(seqs, nil)
 			continue
 		}

@@ -44,10 +44,11 @@ const (
 
 // Engine evaluates likelihoods for one dataset on one tree. Since the
 // Dataset/session split it is the *mutable, per-session* half of the kernel:
-// it owns the tree, the model copies, the CLV/scaling/sumtable buffers, and
-// the per-worker scratch, while everything derived from the dataset alone
-// (compressed patterns, memory layout, schedules) lives in a Shared that any
-// number of concurrent engines borrow read-only.
+// it owns the tree, the model copies, and (until Release) the
+// CLV/scaling/sumtable buffers and the per-worker scratch, while everything
+// derived from the dataset alone (compressed patterns, memory layout,
+// schedules) lives in a Shared that any number of concurrent engines borrow
+// read-only.
 type Engine struct {
 	Data   *alignment.CompressedData
 	Tree   *tree.Tree
@@ -98,12 +99,15 @@ type Engine struct {
 	// pack, while a persistent shift still converges geometrically.
 	smoothed schedule.PartitionCosts
 
-	numCats  int
-	maxS     int
-	layout   *CLVLayout // borrowed from shared: CLV/sumtable geometry
-	clvs     [][]float64
-	scales   [][]int32 // per inner node, per global pattern
-	sumtable []float64 // branch-derivative workspace (always pattern-major)
+	numCats int
+	maxS    int
+	layout  *CLVLayout // borrowed from shared: CLV/sumtable geometry
+
+	// sessionBuffers are the CLV, scaling, sumtable and per-worker scratch
+	// buffers, drawn from the shared state's pool; bufs is the pooled set
+	// they alias, handed back by Release (nil once released).
+	sessionBuffers
+	bufs *sessionBuffers
 
 	// Batched-replicate state (see internal/core/batch.go): an optional
 	// single-vector weight override for the unbatched reductions and the
@@ -112,14 +116,6 @@ type Engine struct {
 	weightOverride  []float64
 	batchEvalChunk  []float64 // [chunk*R + r] partials
 	batchDerivChunk []float64 // [chunk*2R + 2r(+1)] partials
-
-	pmScratch  [][2][]float64 // per worker: two P-matrix buffers (cats x s x s)
-	exScratch  [][]float64    // per worker: exponential/derivative tables (3 x cats x s)
-	tipScratch [][2][]float64 // per worker: two tip lookup tables (codes x cats x s)
-
-	// smallScratch is the fused backend's per-worker scaling-flag scratch
-	// (one bool per pattern of the widest partition); nil on other backends.
-	smallScratch [][]bool
 
 	// Observability handles (nil unless Options.Metrics): engine-level
 	// counters updated between regions — rebalance count, measured/predicted
@@ -169,12 +165,83 @@ type Options struct {
 	Tracer *obs.Tracer
 }
 
+// sessionBuffers is the part of a session sized from its Shared alone: the
+// CLV, scaling-vector and sumtable buffers plus the per-worker kernel
+// scratch. Sessions over one Shared recycle sets through its pool (see
+// NewSession and Release), so a set's contents are whatever its previous
+// session left there; every kernel assigns an entry before reading it.
+type sessionBuffers struct {
+	clvs     [][]float64
+	scales   [][]int32 // per inner node, per global pattern
+	sumtable []float64 // branch-derivative workspace (always pattern-major)
+
+	pmScratch  [][2][]float64 // per worker: two P-matrix buffers (cats x s x s)
+	exScratch  [][]float64    // per worker: exponential/derivative tables (3 x cats x s)
+	tipScratch [][2][]float64 // per worker: two tip lookup tables (codes x cats x s)
+
+	// smallScratch is the fused backend's per-worker scaling-flag scratch
+	// (one bool per pattern of the widest partition); nil on other backends.
+	smallScratch [][]bool
+}
+
+// newSessionBuffers allocates a fresh, zeroed buffer set for sh: the pool's
+// miss path.
+func newSessionBuffers(sh *Shared) *sessionBuffers {
+	data := sh.Data
+	nInner := data.NumTaxa() - 2
+	b := &sessionBuffers{
+		clvs:     make([][]float64, nInner),
+		scales:   make([][]int32, nInner),
+		sumtable: alignedFloats(sh.layout.SumTotal()),
+	}
+	for i := range b.clvs {
+		b.clvs[i] = alignedFloats(sh.layout.Total())
+		b.scales[i] = make([]int32, data.TotalPatterns)
+	}
+	t := sh.Threads
+	b.pmScratch = make([][2][]float64, t)
+	b.exScratch = make([][]float64, t)
+	b.tipScratch = make([][2][]float64, t)
+	for w := 0; w < t; w++ {
+		b.pmScratch[w] = [2][]float64{
+			alignedFloats(sh.NumCats * sh.maxS * sh.maxS),
+			alignedFloats(sh.NumCats * sh.maxS * sh.maxS),
+		}
+		b.exScratch[w] = alignedFloats(3 * sh.NumCats * sh.maxS)
+		// One table per tip child: codes × cats × s rows cover the newview
+		// and evaluate tables; the category-independent sumtable projections
+		// (codes × s) reuse a prefix of the same buffers.
+		b.tipScratch[w] = [2][]float64{
+			alignedFloats(sh.maxCodes * sh.NumCats * sh.maxS),
+			alignedFloats(sh.maxCodes * sh.NumCats * sh.maxS),
+		}
+	}
+	if sh.Backend == BackendFused {
+		// Per-worker "every entry tiny" flags the fused newview kernels fill
+		// during their category sweeps (while the values are in registers), so
+		// the scaling pass never re-reads the cold category planes.
+		maxPat := 0
+		for _, p := range data.Parts {
+			if p.PatternCount > maxPat {
+				maxPat = p.PatternCount
+			}
+		}
+		b.smallScratch = make([][]bool, t)
+		for w := 0; w < t; w++ {
+			b.smallScratch[w] = make([]bool, maxPat)
+		}
+	}
+	return b
+}
+
 // NewSession builds a session engine over precomputed shared state: it
 // validates the session's tree, models, and executor against the dataset and
-// allocates only the per-session mutable buffers (CLVs, scaling vectors,
-// sumtable, per-worker scratch). Any number of sessions may run
-// concurrently over one Shared as long as each has its own executor (or a
-// PoolSession view of a shared pool).
+// takes the per-session buffers (CLVs, scaling vectors, sumtable, per-worker
+// scratch) from the Shared's pool, allocating them only when no released
+// session left a set there. It clears the tree's CLV orientation flags,
+// because recycled buffers hold another session's values. Any number of
+// sessions may run concurrently over one Shared as long as each has its own
+// executor (or a PoolSession view of a shared pool).
 func NewSession(sh *Shared, tr *tree.Tree, models []*model.Model, exec parallel.Executor, opts Options) (*Engine, error) {
 	if sh == nil || tr == nil || exec == nil {
 		return nil, errors.New("core: nil shared state, tree, or executor")
@@ -258,14 +325,6 @@ func NewSession(sh *Shared, tr *tree.Tree, models []*model.Model, exec parallel.
 	}
 	e.rt = steal.NewRuntime(e.chunkLayout())
 	e.rt.SetStealing(opts.Steal)
-	nInner := tr.NumInner()
-	e.clvs = make([][]float64, nInner)
-	e.scales = make([][]int32, nInner)
-	for i := range e.clvs {
-		e.clvs[i] = alignedFloats(sh.layout.Total())
-		e.scales[i] = make([]int32, data.TotalPatterns)
-	}
-	e.sumtable = alignedFloats(sh.layout.SumTotal())
 	if e.measure {
 		e.partSecs = make([][]float64, sh.Threads)
 		e.partPats = make([][]float64, sh.Threads)
@@ -274,40 +333,31 @@ func NewSession(sh *Shared, tr *tree.Tree, models []*model.Model, exec parallel.
 			e.partPats[w] = make([]float64, len(data.Parts))
 		}
 	}
-	t := sh.Threads
-	e.pmScratch = make([][2][]float64, t)
-	e.exScratch = make([][]float64, t)
-	e.tipScratch = make([][2][]float64, t)
-	for w := 0; w < t; w++ {
-		e.pmScratch[w] = [2][]float64{
-			alignedFloats(sh.NumCats * e.maxS * e.maxS),
-			alignedFloats(sh.NumCats * e.maxS * e.maxS),
-		}
-		e.exScratch[w] = alignedFloats(3 * sh.NumCats * e.maxS)
-		// One table per tip child: codes × cats × s rows cover the newview
-		// and evaluate tables; the category-independent sumtable projections
-		// (codes × s) reuse a prefix of the same buffers.
-		e.tipScratch[w] = [2][]float64{
-			alignedFloats(sh.maxCodes * sh.NumCats * e.maxS),
-			alignedFloats(sh.maxCodes * sh.NumCats * e.maxS),
-		}
-	}
-	if sh.Backend == BackendFused {
-		// Per-worker "every entry tiny" flags the fused newview kernels fill
-		// during their category sweeps (while the values are in registers), so
-		// the scaling pass never re-reads the cold category planes.
-		maxPat := 0
-		for _, p := range data.Parts {
-			if p.PatternCount > maxPat {
-				maxPat = p.PatternCount
-			}
-		}
-		e.smallScratch = make([][]bool, t)
-		for w := 0; w < t; w++ {
-			e.smallScratch[w] = make([]bool, maxPat)
-		}
-	}
+	// A recycled set still holds another session's CLVs, so no orientation
+	// flag may claim one is valid: the first traversal recomputes (assigns)
+	// every CLV and scaling entry before anything reads it.
+	tr.ClearX()
+	e.bufs = sh.buffers.Get().(*sessionBuffers)
+	e.sessionBuffers = *e.bufs
 	return e, nil
+}
+
+// Release hands the session's CLV, scaling, sumtable and per-worker scratch
+// buffers back to its Shared, so the next NewSession over the same Shared
+// reuses them instead of allocating and zeroing a new set. The engine is
+// unusable afterwards: its buffer slices are nil, so a stray call panics
+// rather than writing into the memory of whichever session drew the set
+// next. Release is idempotent. It must be called between regions and must
+// not race another method of the same engine. A session that is never
+// released simply leaves its buffers to the garbage collector.
+func (e *Engine) Release() {
+	b := e.bufs
+	if b == nil {
+		return
+	}
+	e.bufs = nil
+	e.sessionBuffers = sessionBuffers{}
+	e.shared.buffers.Put(b)
 }
 
 // Backend reports the kernel backend this session runs (never BackendAuto).

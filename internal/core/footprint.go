@@ -3,8 +3,9 @@ package core
 // Memory accounting. A likelihood-serving cache needs a price per dataset to
 // evict against a byte budget, and that price has two parts: what the Shared
 // itself keeps resident (compressed alignment, schedules, layout tables) and
-// what every session opened over it will allocate (CLVs, scaling vectors,
-// the sumtable, per-worker scratch). The session part dominates by orders of
+// what a session over it holds (CLVs, scaling vectors, the sumtable,
+// per-worker scratch) — the buffer set the Shared's pool keeps for the next
+// session once one has been released. The session part dominates by orders of
 // magnitude on real datasets — (taxa-2) CLV buffers of layout.Total() floats
 // each — so a cache that priced only the shared half would badly undercount
 // the capacity a cached dataset consumes once it serves traffic.

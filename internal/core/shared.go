@@ -59,9 +59,10 @@ func (h *ScheduleHolder) publish(s *schedule.Schedule) {
 // evaluations — so one Shared can back any number of concurrent session
 // engines (see NewSession) without synchronization on the hot path: every
 // field is read-only after construction except the holder map (own mutex,
-// lazily populated) and the measured holder's current schedule, which
+// lazily populated), the measured holder's current schedule, which
 // RebalanceMeasured swaps atomically (sessions only observe the swap at
-// region boundaries).
+// region boundaries), and the session buffer pool, which sessions touch
+// only when they open and release.
 type Shared struct {
 	// Data is the compressed alignment (patterns, weights, tip encodings).
 	Data *alignment.CompressedData
@@ -79,6 +80,11 @@ type Shared struct {
 	layout   *CLVLayout // backend-derived CLV/sumtable geometry
 
 	spans []schedule.Span // per-partition pattern ranges with op costs
+
+	// buffers recycles session buffer sets (*sessionBuffers): Release puts
+	// a set back and NewSession takes one, allocating only on a miss. Idle
+	// sets die with the pool's usual two-GC victim delay or with the Shared.
+	buffers sync.Pool
 
 	mu         sync.Mutex
 	holders    map[schedule.Strategy]*ScheduleHolder //plk:holder
@@ -145,6 +151,7 @@ func NewSharedWith(data *alignment.CompressedData, numCats, threads int, backend
 		sh.baseCosts[i] = sp.Cost
 	}
 	sh.batchWidth = 1
+	sh.buffers.New = func() any { return newSessionBuffers(sh) }
 	return sh, nil
 }
 

@@ -260,7 +260,13 @@ func (m *Model) PMatrix(t float64, dst []float64) {
 	if t < 0 {
 		t = 0
 	}
-	expl := make([]float64, s)
+	// Every alphabet fits the stack buffer (protein is the widest at 20), so
+	// the kernels' per-span P-matrix setup allocates nothing.
+	var buf [20]float64
+	expl := buf[:]
+	if s > len(buf) {
+		expl = make([]float64, s)
+	}
 	for k := 0; k < s; k++ {
 		expl[k] = math.Exp(m.EigenVals[k] * t)
 	}

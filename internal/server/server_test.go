@@ -473,6 +473,25 @@ func TestRawPhylipSubmission(t *testing.T) {
 	}
 }
 
+// TestHugeHeaderSubmission submits a raw PHYLIP body whose header claims a
+// billion taxa. The parser must reject it on the data actually sent, as a
+// client error, rather than reserving memory for the claimed count and
+// taking the daemon down.
+func TestHugeHeaderSubmission(t *testing.T) {
+	_, hs := testServer(t, Config{Threads: 1, TenantInflight: 2})
+	resp, err := http.Post(hs.URL+"/v1/datasets?data_type=dna", "text/plain", strings.NewReader("1000000000\f40"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode < 400 || resp.StatusCode >= 500 {
+		t.Fatalf("huge-header submit: HTTP %d, want 4xx", resp.StatusCode)
+	}
+	if code := doJSON(t, "GET", hs.URL+"/v1/healthz", nil, nil, nil); code != http.StatusOK {
+		t.Fatalf("healthz after huge-header submit: HTTP %d, want 200", code)
+	}
+}
+
 func TestBadRequests(t *testing.T) {
 	_, hs := testServer(t, Config{Threads: 1})
 	cases := []struct {

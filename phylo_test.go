@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -243,7 +246,8 @@ func gridAlignment(t *testing.T) *Alignment {
 // TestConcurrentSessionsMatchSequential is the acceptance test of the
 // Dataset/session split: N concurrent sessions over one Dataset (sharing
 // one worker pool) must reproduce the single-session log likelihood
-// bit-for-bit, and each session sees only its own statistics. Run under
+// bit-for-bit, each session sees only its own statistics, and sessions that
+// reuse closed sessions' buffers score exactly like fresh ones. Run under
 // -race in CI.
 func TestConcurrentSessionsMatchSequential(t *testing.T) {
 	al := gridAlignment(t)
@@ -298,6 +302,158 @@ func TestConcurrentSessionsMatchSequential(t *testing.T) {
 		if regions[i] != baseRegions {
 			t.Errorf("session %d saw %d regions, want its own count %d (per-session stats)", i, regions[i], baseRegions)
 		}
+	}
+
+	// Closed sessions hand their buffers to the next session on the same
+	// Dataset. Dirty the pooled sets with a bootstrap and a search, then run
+	// concurrent one-shot open → score → Close cycles over several trees,
+	// every other one with an alpha override: each score must match a
+	// session on a fresh Dataset, whose buffers come zeroed from the
+	// allocator, bit for bit.
+	dirty, err := ds.NewAnalysis(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dirty.Bootstrap(context.Background(), 4, 9); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dirty.SearchWith(context.Background(), SearchOptions{MaxRounds: 1, Radius: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := dirty.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	const trees = 4
+	score := func(an *Analysis, k int) (float64, error) {
+		if k%2 == 1 {
+			if err := an.SetAlpha(-1, 0.4+0.3*float64(k)); err != nil {
+				return 0, err
+			}
+		}
+		return an.LogLikelihood(), nil
+	}
+	treeOpts := func(k int) AnalysisOptions {
+		o := opts
+		o.Seed = int64(100 + k)
+		return o
+	}
+	fresh, err := NewDataset(al, DatasetOptions{Threads: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	wantTree := make([]float64, trees)
+	var held []*Analysis // all open at once, so none reuses another's buffers
+	for k := 0; k < trees; k++ {
+		an, err := fresh.NewAnalysis(treeOpts(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, an)
+		if wantTree[k], err = score(an, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, an := range held {
+		an.Close()
+	}
+
+	cycleErrs := make([]error, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for round := 0; round < 2; round++ {
+				for j := 0; j < trees; j++ {
+					k := (j + i) % trees // goroutines start on different trees
+					an, err := ds.NewAnalysis(treeOpts(k))
+					if err != nil {
+						cycleErrs[i] = err
+						return
+					}
+					got, err := score(an, k)
+					an.Close()
+					if err != nil {
+						cycleErrs[i] = err
+						return
+					}
+					if got != wantTree[k] {
+						cycleErrs[i] = fmt.Errorf("tree %d: recycled-session lnL %v, fresh %v (must be bit-identical)", k, got, wantTree[k])
+						return
+					}
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range cycleErrs {
+		if err != nil {
+			t.Errorf("cycling session %d: %v", i, err)
+		}
+	}
+}
+
+// TestWarmSessionCycleAllocs pins what session buffer recycling buys: once
+// a Dataset has served a session, an open → LogLikelihood → Close cycle
+// reuses the released CLV, scaling, sumtable and scratch buffers instead of
+// allocating a new set, so it allocates under 1% of one session's buffer
+// bytes (MemoryBreakdown().SessionBytes()).
+func TestWarmSessionCycleAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops released buffers at random")
+	}
+	// A plkd-like request: a mid-sized dataset scored on a client's tree.
+	al, err := SimulateGrid(24, 3000, 1000, 1.0, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := NewDataset(al, DatasetOptions{Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	first, err := ds.NewAnalysis(AnalysisOptions{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := AnalysisOptions{StartTreeNewick: first.TreeNewick()}
+	first.Close()
+	cycle := func() {
+		an, err := ds.NewAnalysis(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lnl := an.LogLikelihood(); math.IsNaN(lnl) || lnl >= 0 {
+			t.Fatalf("lnL = %v", lnl)
+		}
+		if err := an.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Collect first: with the heap settled, the few kilobytes each cycle
+	// allocates cannot trigger the two collections that would empty the
+	// pool mid-measurement. A cycle can still miss when its goroutine
+	// migrates to a P whose pool slots are empty (sync.Pool does not steal
+	// another P's private slot); the miss leaves one more set pooled, so
+	// misses die out, and the median cycle is the warm cost.
+	runtime.GC()
+	cycle()
+	const cycles = 21
+	perCycle := make([]float64, cycles)
+	var before, after runtime.MemStats
+	for i := range perCycle {
+		runtime.ReadMemStats(&before)
+		cycle()
+		runtime.ReadMemStats(&after)
+		perCycle[i] = float64(after.TotalAlloc - before.TotalAlloc)
+	}
+	sort.Float64s(perCycle)
+	median := perCycle[cycles/2]
+	session := float64(ds.MemoryBreakdown().SessionBytes())
+	t.Logf("warm cycle allocates %.0f B (median of %d); one session's buffers are %.0f B", median, cycles, session)
+	if median >= 0.01*session {
+		t.Errorf("warm open/score/close cycle allocates %.0f B, want < 1%% of the %.0f B session buffers", median, session)
 	}
 }
 
